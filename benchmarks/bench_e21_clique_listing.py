@@ -2,15 +2,16 @@
 
 The registry's E21 tier (``repro.experiments.defs_clique_listing``) carries
 the verified triangle-listing and checksum-fanout scenarios; this wrapper
-guards the *engine speedup* on pure targeted traffic — the PR 7 tentpole —
-with the denser sibling of the registry's fan-out anchor (same n and seed,
+guards the *engine speedup* on pure targeted traffic — the columnar
+engine's targeted fast path against the ``reference`` oracle — with the
+denser sibling of the registry's fan-out anchor (same n and seed,
 double the density and fan-out): every node sends one small int to each of
 its first 16 ascending neighbours, every round.
 
 Methodology — steady-state delta-rounds, exactly as ``bench_e20_columnar``:
 each engine is timed at 45 and at 5 rounds (after a 3-round warmup) and the
-per-round cost is ``(t45 - t5) / 40``, so the engine-identical setup cost
-(n ``Random`` instances, contexts, neighbour rows) cancels.  Each engine
+per-round cost is ``(t45 - t5) / 40``, so the setup cost (contexts,
+programs, neighbour rows) cancels.  Each engine
 takes the best of two such measurements — ``min`` is the right estimator
 for timing noise, which is strictly additive.  The receiver folds through
 :meth:`TargetedInbox.max_heard` when the engine offers it — fold pushdown
@@ -22,8 +23,8 @@ part of the targeted contract (the oracle pays it per message, the fast
 path pays it in vectorized prefix sums), so the guarded ratio covers the
 accounting kernels too, not just the scatter.
 
-Measured on a quiet machine: batch ~3.9x over indexed, columnar ~3.5x,
-~1.5M msg/s steady state.  CI relaxes the ratio floor via
+Measured figures live in ``docs/performance.md``.  CI relaxes the ratio
+floor via
 ``E21_MIN_SPEEDUP`` to absorb shared-runner noise; ``E21_MIN_MSGS_PER_SEC``
 defaults to 0 (recorded, not asserted) because absolute throughput varies
 with host hardware in a way a ratio does not.
@@ -37,9 +38,9 @@ from repro.distributed import NodeProgram, Simulator
 from repro.distributed.models import congest_model
 from repro.experiments.families import build_graph
 
-# Measured ~3.1x on a quiet machine; CI sets E21_MIN_SPEEDUP lower to
-# absorb shared-runner noise without losing the regression guard.
-MIN_BATCH_SPEEDUP = float(os.environ.get("E21_MIN_SPEEDUP", "3.0"))
+# The quiet-machine bar; CI sets E21_MIN_SPEEDUP lower to absorb
+# shared-runner noise without losing the regression guard.
+MIN_COLUMNAR_SPEEDUP = float(os.environ.get("E21_MIN_SPEEDUP", "3.0"))
 MIN_MSGS_PER_SEC = float(os.environ.get("E21_MIN_MSGS_PER_SEC", "0"))
 
 #: Denser sibling of the E21 fan-out anchor (defs_clique_listing uses
@@ -59,7 +60,7 @@ class _PushdownFanout(NodeProgram):
     Sends one round-varying int to each of the first ``_FANOUT`` ascending
     neighbours; folds the inbox through ``max_heard`` when the engine's
     inbox view offers it, and through a C-level ``max`` over the dict
-    oracle's values otherwise — the same bit-for-bit outcome either way.
+    inbox's values otherwise — the same bit-for-bit outcome either way.
     """
 
     def __init__(self, node, rounds):
@@ -133,43 +134,37 @@ def test_e21_targeted_fast_path(benchmark):
     def measure():
         per_round = {}
         outputs = {}
-        for engine in ("indexed", "batch", "columnar"):
+        for engine in ("reference", "columnar"):
             per_round[engine], outputs[engine] = _steady_state_per_round(
                 graph, engine
             )
         # The ratio only means something if the engines computed the same
         # thing: the differential contract, asserted on the long run.
-        assert outputs["batch"] == outputs["indexed"]
-        assert outputs["columnar"] == outputs["indexed"]
+        assert outputs["columnar"] == outputs["reference"]
         return per_round
 
     per_round = benchmark.pedantic(measure, rounds=1, iterations=1)
     throughput = {
         engine: msgs_per_round / seconds for engine, seconds in per_round.items()
     }
-    batch_speedup = per_round["indexed"] / per_round["batch"]
-    columnar_speedup = per_round["indexed"] / per_round["columnar"]
+    speedup = per_round["reference"] / per_round["columnar"]
     benchmark.extra_info.update(
         {
             "msgs_per_round": msgs_per_round,
-            "indexed_msgs_per_sec": throughput["indexed"],
-            "batch_msgs_per_sec": throughput["batch"],
+            "reference_msgs_per_sec": throughput["reference"],
             "columnar_msgs_per_sec": throughput["columnar"],
-            "batch_speedup": batch_speedup,
-            "columnar_speedup": columnar_speedup,
+            "columnar_speedup": speedup,
         }
     )
     print(
-        f"\nE21 steady state: indexed {throughput['indexed']:,.0f} msg/s, "
-        f"batch {throughput['batch']:,.0f} msg/s ({batch_speedup:.2f}x), "
-        f"columnar {throughput['columnar']:,.0f} msg/s "
-        f"({columnar_speedup:.2f}x)"
+        f"\nE21 steady state: reference {throughput['reference']:,.0f} msg/s, "
+        f"columnar {throughput['columnar']:,.0f} msg/s ({speedup:.2f}x)"
     )
-    assert batch_speedup >= MIN_BATCH_SPEEDUP, (
-        f"batch engine only {batch_speedup:.2f}x over indexed on targeted "
-        f"traffic (required {MIN_BATCH_SPEEDUP}x)"
+    assert speedup >= MIN_COLUMNAR_SPEEDUP, (
+        f"columnar engine only {speedup:.2f}x over reference on targeted "
+        f"traffic (required {MIN_COLUMNAR_SPEEDUP}x)"
     )
-    assert throughput["batch"] >= MIN_MSGS_PER_SEC, (
-        f"batch throughput {throughput['batch']:,.0f} msg/s below the "
+    assert throughput["columnar"] >= MIN_MSGS_PER_SEC, (
+        f"columnar throughput {throughput['columnar']:,.0f} msg/s below the "
         f"{MIN_MSGS_PER_SEC:,.0f} floor"
     )

@@ -2,18 +2,20 @@
 
 Runs the E22 experiment through the orchestrator (plain vs repetition vs
 checksum flood-max and plain vs coded spanner under ``corrupt:*``, with the
-soundness-under-corruption invariants and the four-engine-parity verify
-hook in ``repro.experiments.defs_corruption``), then pins the *cost* of the
-transform seam: a transforming filter forces every engine onto the
-per-edge materialization path (one payload list cannot be shared across
+soundness-under-corruption invariants and the engine-parity verify hook
+in ``repro.experiments.defs_corruption``), then pins the *cost* of the
+transform seam on the stepped columnar engine: a transforming filter forces
+it onto the per-edge materialization path (one payload list cannot be shared across
 receivers when each delivery may be mutated), so a
 :class:`CorruptAdversary` whose rate is negligible but non-zero — every
 edge hashed, nothing ever flipped — against a :class:`DropAdversary` at
 the same rate — every edge hashed, shared-plist path — isolates exactly
 the materialization price.  (Zero rates would not: the corrupt filter
 skips hashing entirely at rate 0, which more than pays for the per-edge
-path.)  ``E22_MAX_OVERHEAD`` bounds the multiple; like E16/E18/E19 it is
-an environment knob so CI can relax it on noisy shared runners without
+path.)  Both arms run stepped (``vectorize=False``): the corrupt filter
+always declines lowering, so a lowered drop arm would time a different
+engine path, not the seam.  ``E22_MAX_OVERHEAD`` bounds the multiple; like
+E16/E19 it is an environment knob so CI can relax it on noisy shared runners without
 touching the registry.
 """
 
@@ -35,19 +37,19 @@ MAX_TRANSFORM_OVERHEAD = float(os.environ.get("E22_MAX_OVERHEAD", "1.5"))
 #: still hashed, keeping both timed paths' per-edge work identical.
 _EPSILON_RATE = 1e-9
 
-#: E19's instance: large enough that per-message work dominates, small
-#: enough for a tier-1-friendly wall time.
+#: E19's instance (the E20 anchor): large enough that per-message work
+#: dominates, small enough for a tier-1-friendly wall time.
 _GRAPH = ("sparse_connected_gnp", 20000, 0.0005, 18)
 _ROUNDS = 5
 
 
 def _best_of(graph, repeats: int, adversary) -> float:
-    """Best wall time of ``repeats`` batch-engine flood-max runs on ``graph``."""
+    """Best wall time of ``repeats`` stepped-columnar flood-max runs on ``graph``."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         result = run_flood_max(
-            graph, rounds=_ROUNDS, seed=3, engine="batch", adversary=adversary
+            graph, rounds=_ROUNDS, seed=3, adversary=adversary, vectorize=False
         )
         best = min(best, time.perf_counter() - start)
         assert result.rounds == _ROUNDS
@@ -63,7 +65,7 @@ def test_e22_corruption(benchmark):
     # The differential heart of the tier: same corruption stream, different
     # engines, identical forged physics (verify already checked; keep the
     # headline assertions visible here too).
-    for engine in ("batch", "columnar", "reference"):
+    for engine in ("columnar", "reference"):
         assert (
             results[f"floodmax repetition corrupt=0.10 {engine}"][
                 "metrics.adversary_corrupted_messages"

@@ -3,7 +3,7 @@
 The registry's E23 sweep (``repro.experiments.defs_vectorized``) pins the
 *physics* of whole-round lowering — lowered and stepped twins agree
 bit-for-bit.  This wrapper guards the *speedup* that justifies the layer:
-on the shared n=20000 E18/E20 anchor graph, the lowered columnar path
+on the shared n=20000 E20 anchor graph, the lowered columnar path
 (``vectorize=True``, zero per-node Python calls per round) must beat the
 stepped columnar path (``vectorize=False``, one ``step()`` call per alive
 vertex per round) by ``E23_MIN_SPEEDUP``.
@@ -34,7 +34,7 @@ from repro.experiments.families import build_graph
 # shared-runner noise without losing the regression guard.
 MIN_LOWERED_SPEEDUP = float(os.environ.get("E23_MIN_SPEEDUP", "3.0"))
 
-#: The E18/E20/E23 shared anchor instance and seed.
+#: The E20/E23 shared anchor instance and seed.
 _GRAPH = ("sparse_connected_gnp", 20000, 0.0005, 18)
 _SEED = 3
 _WARMUP_ROUNDS = 3

@@ -30,8 +30,8 @@ a node "routing to itself" costs nothing in the model.
 The module also hosts :class:`TargetedFanoutProgram` — the deterministic
 targeted-traffic generator used by the E21 throughput scenarios, the
 differential engine-parity suite and ``benchmarks/bench_e21_clique_listing.py``
-— because it exercises precisely the ``ctx.send`` fast path this PR adds to
-the batch and columnar engines.
+— because it exercises precisely the columnar engine's ``ctx.send`` fast
+path.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.distributed.errors import SimulationError
 from repro.distributed.models import CommunicationModel, congested_clique_model
 from repro.distributed.node import NodeContext
 from repro.distributed.program import Inbox, NodeProgram
-from repro.distributed.simulator import Simulator
+from repro.distributed.simulator import DEFAULT_ENGINE, Simulator
 from repro.graphs.graph import Graph, Node
 
 #: Fold modulus of the fan-out checksum (a Mersenne prime: cheap, collision
@@ -215,8 +215,8 @@ class CliqueRoutingProgram(NodeProgram):
         received = self.received
         queues = self.queues
         rank = self.rank
-        # Ascending sender index: the indexed-family engines already deliver
-        # in this order, the explicit sort makes the reference engine agree.
+        # Ascending sender index: the columnar engine already delivers in
+        # this order, the explicit sort makes the reference engine agree.
         for _, payloads in sorted(inbox.items(), key=lambda kv: rank[kv[0]]):
             for frame in payloads:
                 if frame[0] == 1:
@@ -284,7 +284,7 @@ def run_clique_routing(
     messages: dict[int, list[tuple[int, Any]]],
     seed: int | None = 0,
     model: CommunicationModel | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary=None,
     max_phase2_rounds: int | None = None,
     finish: Callable[[list[Any]], Any] | None = None,
@@ -391,7 +391,7 @@ def run_targeted_fanout(
     rounds: int = 24,
     seed: int | None = 0,
     model: CommunicationModel | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary=None,
 ) -> FanoutResult:
     """Run the targeted fan-out workload and fold the global checksum.

@@ -7,8 +7,8 @@ its ``R``-hop neighbourhood, and for ``R >=`` diameter the whole graph
 agrees on one leader.  Messages are single integer labels, comfortably
 inside the O(log n)-bit broadcast-CONGEST budget, and every node broadcasts
 every round — which makes this the densest pure-broadcast traffic pattern
-the simulator can produce and therefore the E18 scale workload for the
-``batch`` engine fast path.
+the simulator can produce and therefore the scale workload of the
+columnar engine's broadcast kernels (E20, E23).
 
 Two variants ship: the classic fixed-round-budget :class:`FloodMaxProgram`
 (assumes reliable links) and the retransmitting
@@ -26,7 +26,7 @@ from repro.distributed.adversary import Adversary
 from repro.distributed.models import CommunicationModel, broadcast_congest_model
 from repro.distributed.node import NodeContext
 from repro.distributed.program import Inbox, Node, NodeProgram
-from repro.distributed.simulator import Simulator
+from repro.distributed.simulator import DEFAULT_ENGINE, Simulator
 from repro.distributed.vectorize import EngineView, MaxFloodKernel, VectorProgram
 
 
@@ -50,7 +50,7 @@ class FloodMaxProgram(VectorProgram, NodeProgram):
 
     The round handler folds the inbox's payload lists directly instead of
     going through :class:`~repro.distributed.program.BroadcastNodeProgram`'s
-    per-sender ``heard`` dict: this program is the E18 throughput workload,
+    per-sender ``heard`` dict: this program is the E20 throughput workload,
     and the engines under test should dominate the wall time, not the
     program.
     """
@@ -75,7 +75,7 @@ class FloodMaxProgram(VectorProgram, NodeProgram):
         if inbox.__class__ is dict:
             if inbox:
                 # One C-level max over the flattened payload lists:
-                # measurably cheaper than a nested Python loop at E18/E20
+                # measurably cheaper than a nested Python loop at E20
                 # message volumes.
                 heard = max(chain.from_iterable(inbox.values()))
                 if heard > best:
@@ -110,7 +110,7 @@ def run_flood_max(
     rounds: int,
     model: CommunicationModel | None = None,
     seed: int | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     max_rounds: int = 10_000,
     adversary: Adversary | None = None,
     streaming_metrics: bool = False,
@@ -120,7 +120,7 @@ def run_flood_max(
 
     ``model`` defaults to an enforcing broadcast-CONGEST policy (integer
     labels always fit the budget); ``engine`` selects the simulator engine —
-    the workload is pure broadcast, so all four engines accept it.  An
+    the workload is pure broadcast, so both engines accept it.  An
     ``adversary`` injects faults; the fixed round budget then may no longer
     cover the effective diameter, so check ``converged`` (or use
     :func:`run_robust_flood_max`, which retransmits until locally stable).
@@ -249,7 +249,7 @@ def run_robust_flood_max(
     patience: int,
     model: CommunicationModel | None = None,
     seed: int | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary: Adversary | None = None,
     max_rounds: int | None = None,
     vectorize: bool = True,

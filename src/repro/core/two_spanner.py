@@ -37,7 +37,7 @@ from repro.core.variants import NodeSetup, SpannerVariant, UnweightedVariant
 from repro.distributed.models import CommunicationModel, local_model
 from repro.distributed.node import NodeContext
 from repro.distributed.program import Inbox, NodeProgram
-from repro.distributed.simulator import Simulator
+from repro.distributed.simulator import DEFAULT_ENGINE, Simulator
 from repro.graphs.client_server import ClientServerInstance
 from repro.graphs.graph import Edge, Graph, Node, edge_key
 from repro.spanner.stars import (
@@ -438,7 +438,7 @@ def run_two_spanner(
     seed: int | None = None,
     model: CommunicationModel | None = None,
     max_rounds: int = 200_000,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary=None,
 ) -> TwoSpannerResult:
     """Run the distributed 2-spanner algorithm on ``graph`` and collect the result.
@@ -447,7 +447,7 @@ def run_two_spanner(
     counts simulator rounds (7 per algorithm iteration plus setup/termination)
     and ``iterations`` is the largest iteration index any vertex reached.
     ``engine`` selects the simulator engine (the throughput benchmark compares
-    ``indexed`` against ``reference``); results are identical for a fixed seed.
+    ``columnar`` against ``reference``); results are identical for a fixed seed.
     ``adversary`` forwards a fault policy to the simulator; this algorithm's
     handshake phases assume reliable delivery, so use it for golden-stability
     checks (``NoAdversary``) rather than fault sweeps.

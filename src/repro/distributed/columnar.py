@@ -1,14 +1,15 @@
 """Columnar simulator engine: flat-array delivery kernels over CSR rows.
 
-The ``batch`` engine (PR 4) collapsed per-message work into per-sender work
-but still runs one Python loop iteration per *delivery* (inbox dict insert
-per receiver).  This module removes that loop too: one round of broadcast
+Broadcast rounds exploit the one-broadcast-per-node-per-round admission
+rule: each sender's payload is interned once, so per-message work collapses
+into per-sender work, and this module removes the per-*delivery* Python
+loop too (no inbox dict insert per receiver).  One round of broadcast
 traffic becomes a handful of flat-array operations —
 
 * **gather** — each sender's interned payload is drained into persistent
   per-round columns: a ``sent`` flag byte per node, a 64-bit size slot
-  (``bits_col``) and the shared single-payload list the batch engine also
-  interns;
+  (``bits_col``) and one single-payload list per sender, shared by all
+  of its receivers;
 * **size table** — payload sizes come from a run-lifetime
   :class:`~repro.distributed.encoding.PayloadSizeTable` keyed by
   ``(exact type, value)`` (with a dedicated exact-``int`` fast dictionary),
@@ -38,27 +39,30 @@ round to the shared targeted fast path
 table.  The kernels below therefore only ever see pure-broadcast rounds.
 
 Parity contract (the gate this engine ships under): the columnar engine is
-bit-for-bit identical to the ``indexed`` engine — outputs,
+bit-for-bit identical to the ``reference`` engine — outputs,
 ``Metrics.as_dict()``, ``bits_per_round`` — for every program under all
 four communication models and under every adversary.  The load-bearing
 details of the broadcast kernels:
 
-* inbox key order — the indexed engine inserts senders in ascending index
-  order, so :class:`ColumnarInbox` iterates the *sorted* neighbour rows
+* inbox key order — the reference engine inserts senders in ascending
+  node order, so :class:`ColumnarInbox` iterates the *sorted* neighbour rows
   (:meth:`~repro.graphs.topology.CompiledTopology.sorted_neighbor_rows`),
   never raw CSR order;
 * adversaries — an active delivery filter is consulted once per sender via
   :meth:`~repro.distributed.adversary.DeliveryFilter.deliver_mask` (for
   drops, a keyed-hash mask over ``(round, src, dst)``), and delivery falls
-  back to eager batch-style inbox dicts so stateful filters observe every
-  decision; decisions are order-independent by the adversary design rules,
-  so counters and inboxes match the indexed engine exactly;
+  back to eager inbox dicts so stateful filters observe every decision;
+  decisions are order-independent by the adversary design rules, so
+  counters and inboxes match the reference engine exactly;
 * enforcement — when a payload exceeds an enforcing model's budget the
   engine re-walks the senders in order and raises
-  :class:`~repro.distributed.errors.BandwidthExceededError` with exactly
-  the batch engine's partially-flushed metrics and message text.
+  :class:`~repro.distributed.errors.BandwidthExceededError`, with the
+  metrics flushed through the violating sender and the link to its first
+  CSR neighbour named in the message (the reference engine names the
+  first link in its ``frozenset`` order, which can differ when a node has
+  several neighbours).
 
-Like the batch engine, the single-payload inbox lists are *shared* between
+The single-payload inbox lists are *shared* between
 receivers, and the inbox views are valid only for the round they were
 collected for (the engine reuses the underlying buffers): programs must
 treat inboxes as read-only and must not stash them across rounds — which
@@ -160,11 +164,10 @@ class _RoundState:
     def ensure_plists(self) -> list[list[Any] | None]:
         """Materialise the round's per-sender singleton payload lists.
 
-        Like the batch engine, one list per sender is shared by all its
-        receivers.  Entries of non-senders may be stale from an earlier
-        round; every consumer filters through the ``sent`` flags (or, on
-        all-sent rounds, touches sender rows only), so they are never
-        observed.
+        One list per sender is shared by all its receivers.  Entries of
+        non-senders may be stale from an earlier round; every consumer
+        filters through the ``sent`` flags (or, on all-sent rounds, touches
+        sender rows only), so they are never observed.
         """
         plists = self.plists
         if not self.plists_valid:
@@ -183,15 +186,15 @@ class ColumnarInbox(Mapping):
     ascending-sorted neighbour row and keeps the neighbours that broadcast
     this round (``sent`` flag column), resolving payload lists straight out
     of the shared :class:`_RoundState`.  Key order therefore equals the
-    indexed engine's insertion order (ascending sender index), which the
+    reference engine's insertion order (ascending sender), which the
     parity contract requires.  When every node broadcast, ``values()``
     degenerates to a C-level slice of the round's bulk-gathered flat
     payload list.
 
     Views alias buffers the engine rewrites each round: read them only
     during the round they were handed to ``on_round`` for, and treat the
-    (receiver-shared) payload lists as read-only — the batch engine's
-    existing inbox contract.
+    (receiver-shared) payload lists as read-only — the engine's inbox
+    contract.
     """
 
     __slots__ = ("_row", "_lo", "_hi", "_i", "_st")
@@ -278,8 +281,8 @@ class ColumnarInbox(Mapping):
         vertex labels): the fold runs as one C-level ``max`` over a slice
         of the round's flat *payload* column, skipping the Mapping
         facade's singleton-list materialisation entirely.  Engine-agnostic
-        programs dispatch on the inbox type — dict inboxes (indexed /
-        batch / reference engines and the columnar adversary path) take
+        programs dispatch on the inbox type — dict inboxes (the reference
+        engine and the columnar adversary path) take
         the generic itertools fold, columnar views take this accessor —
         and the result is identical either way, which the engine-parity
         tests pin down.
@@ -354,7 +357,7 @@ def build_columnar_collect(
     metrics: Metrics,
     graph_sets,
     filt: "DeliveryFilter | None",
-    tsignal: list[bool] | None = None,
+    tsignal: list[bool],
 ) -> Callable[[Iterable[int]], list[Any]]:
     """Build the columnar engine's per-round ``collect`` callable.
 
@@ -364,7 +367,7 @@ def build_columnar_collect(
     :class:`~repro.distributed.metrics.RoundTally`) and returns the closure
     :meth:`~repro.distributed.simulator.Simulator._drive` calls once per
     round.  ``sim`` supplies the compiled topology, model and cut exactly
-    as the other engines see them.  ``tsignal`` is the contexts' shared
+    as the reference engine sees them.  ``tsignal`` is the contexts' shared
     targeted-traffic signal cell: rounds that saw a ``ctx.send`` delegate
     to the shared targeted fast path
     (:func:`~repro.distributed.targeted.build_targeted_collect`, built
@@ -500,13 +503,13 @@ def build_columnar_collect(
         mask_rows = [[labels[j] for j in row] for row in rows]
 
     def accumulate_ordered(senders: list[int]) -> tuple:
-        """Batch-order accumulation; raises mid-walk on an enforced violation.
+        """Sender-order accumulation; raises mid-walk on an enforced violation.
 
         This is both the stdlib accounting kernel and the enforcement path:
-        it walks senders in ascending order exactly like the batch engine's
-        per-sender loop, so when an enforcing model's budget is exceeded the
-        partially-flushed metrics and the raised message text are
-        bit-for-bit the batch engine's.
+        it walks senders in ascending order, so when an enforcing model's
+        budget is exceeded the metrics are flushed through the first
+        violating sender and the raise names that sender's first link —
+        the same on the NumPy and stdlib paths and on the lowered path.
         """
         messages = 0
         bits_total = 0
@@ -556,7 +559,7 @@ def build_columnar_collect(
     targeted_collect: list[Callable[[Iterable[int]], list[Any]] | None] = [None]
 
     def collect(sender_ids: Iterable[int]) -> list[Any]:
-        if tsignal is not None and tsignal[0]:
+        if tsignal[0]:
             # At least one ctx.send this round: the whole round (broadcasts
             # included, replayed at their outbox positions) goes through the
             # shared targeted-delivery path, reusing this run's size table.
@@ -597,12 +600,12 @@ def build_columnar_collect(
         senders_append = senders.append
         for src_i in sender_ids:
             ctx = ctxs[src_i]
-            payload = ctx._batch_payload
+            payload = ctx._broadcast_payload
             if payload is no_bcast:
                 continue
-            ctx._batch_payload = no_bcast
+            ctx._broadcast_payload = no_bcast
             if isolated and not degs[src_i]:
-                # Degree-0 broadcast: a no-op, exactly like the indexed
+                # Degree-0 broadcast: a no-op, exactly like the reference
                 # engine's empty outbox (no metrics, no payload counter).
                 continue
             # Inlined PayloadSizeTable fast path: exact ints (the dominant
@@ -666,9 +669,9 @@ def build_columnar_collect(
             state.all_sent = len(senders) == n_connected
             return views
         # Adversary seam: one deliver_mask call per sender (keyed-hash mask
-        # for drops, a deliver() loop otherwise), then batch-style eager
-        # insertion so every engine observes identical inbox contents.
-        # Filter before the liveness check, exactly as the other engines do.
+        # for drops, a deliver() loop otherwise), then eager dict
+        # insertion so both engines observe identical inbox contents.
+        # Filter before the liveness check, as the reference engine does.
         halted = [ctx.halted for ctx in contexts]
         eager: list[dict[Any, list[Any]] | None] = [None] * n
         deliver_mask = filt.deliver_mask
@@ -678,7 +681,7 @@ def build_columnar_collect(
                 bits = bits_col[src_i]
                 mask = deliver_mask(src, mask_rows[src_i], bits)
                 # One singleton list per sender, shared by all its receivers
-                # — exactly the batch engine's interning.
+                # — the fault-free path's interning.
                 plist = [pays[src_i]]
                 row = rows[src_i]
                 for pos in range(len(row)):

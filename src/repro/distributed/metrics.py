@@ -1,15 +1,12 @@
-"""Communication metrics and per-link accounting for the round simulator.
+"""Communication metrics for the round simulator.
 
-:class:`Metrics` is the aggregate counter block every engine fills in;
-:class:`LinkLedger` is the preallocated per-link bit ledger the indexed
-engine charges CONGEST bandwidth against (the batch engine needs no ledger:
-one broadcast payload per sender per round means a link's round total *is*
-the payload size).  :class:`RoundTally` is the columnar engine's
-preallocated flat per-round counter block — kernels write slots of one
-64-bit array and :meth:`RoundTally.flush` folds them into :class:`Metrics`
-once per round, through the same :func:`flush_round_tally` seam the other
-engines use.  ``Metrics(streaming=True)`` bounds the otherwise O(rounds)
-``bits_per_round`` history for service-mode / mega-scale runs.
+:class:`Metrics` is the aggregate counter block both engines fill in.
+:class:`RoundTally` is the columnar engine's preallocated flat per-round
+counter block — kernels write slots of one 64-bit array and
+:meth:`RoundTally.flush` folds them into :class:`Metrics` once per round,
+through :func:`flush_round_tally`, the seam every columnar collection path
+(broadcast, targeted, lowered) shares.  ``Metrics(streaming=True)`` bounds
+the otherwise O(rounds) ``bits_per_round`` history for mega-scale runs.
 """
 
 from __future__ import annotations
@@ -17,33 +14,6 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-
-
-class LinkLedger:
-    """Preallocated per-link running bit totals for one delivery pass.
-
-    Links are identified by their global CSR arc position in a
-    :class:`~repro.graphs.topology.CompiledTopology` (dense in
-    ``0..arc_count-1``), so the ledger is a flat 64-bit array instead of a
-    ``(src, dst) -> bits`` hash table.  ``touched`` remembers which
-    positions were charged so that resetting between rounds costs
-    O(messages), not O(arcs).  The simulator's hot loop reads ``bits`` and
-    ``touched`` directly; :meth:`reset_round` is the only method it calls
-    per round.
-    """
-
-    __slots__ = ("bits", "touched")
-
-    def __init__(self, arc_count: int) -> None:
-        self.bits = array("q", [0]) * arc_count
-        self.touched: list[int] = []
-
-    def reset_round(self) -> None:
-        """Zero every charged position and forget the touched set."""
-        bits = self.bits
-        for pos in self.touched:
-            bits[pos] = 0
-        self.touched.clear()
 
 
 def flush_round_tally(
@@ -59,11 +29,12 @@ def flush_round_tally(
 ) -> None:
     """Fold one delivery pass's locally-accumulated counters into ``metrics``.
 
-    The indexed and batch engines accumulate per-pass counts in plain locals
-    (the hot loops must not pay attribute access per message) and flush them
-    here — once per round, and once more before an enforcement raise.  Both
-    engines sharing this function is part of the bit-for-bit engine-parity
-    contract: a counter added for one engine is necessarily added for both.
+    The columnar collection paths accumulate per-pass counts in plain locals
+    or :class:`RoundTally` slots (the hot loops must not pay attribute access
+    per message) and flush them here — once per round, and once more before
+    an enforcement raise.  Every path sharing this function is part of the
+    bit-for-bit engine-parity contract: a counter added for one path is
+    necessarily added for all of them.
     """
     metrics.messages_sent += messages
     metrics.bits_sent += bits_total
@@ -86,7 +57,7 @@ class RoundTally:
     NumPy kernel can deposit its reduced scalars directly), then
     :meth:`flush` folds the block into :class:`Metrics` through the shared
     :func:`flush_round_tally` seam — once per round, plus once more before
-    an enforcement raise, exactly like the other engines' plain-local
+    an enforcement raise, exactly like the targeted path's plain-local
     accumulators.  :meth:`reset` re-arms the block between rounds in one
     slice assignment; ``max_bits`` is seeded with the run's current maximum
     because :func:`flush_round_tally` stores that slot absolutely.

@@ -92,7 +92,7 @@ class CommunicationModel:
 
     # -------------------------------------------------------------- topology
     def communication_topology(self, graph: "BaseGraph") -> CompiledTopology:
-        """The compiled topology messages travel on (indexed engine).
+        """The compiled topology messages travel on (columnar engine).
 
         The default is the input graph itself; overlay models override.
         """

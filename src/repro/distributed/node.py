@@ -10,7 +10,7 @@ from repro.distributed.errors import MessageAdmissionError, NotANeighborError
 
 Node = Hashable
 
-#: Sentinel marking "no broadcast queued this round" in batch-collection
+#: Sentinel marking "no broadcast queued this round" in columnar-collection
 #: mode; distinct from ``None``, which is a perfectly legal payload.
 NO_BROADCAST: Any = object()
 
@@ -26,30 +26,26 @@ class NodeContext:
     ``n`` (the standard polynomial upper bound assumption), and a private
     source of randomness.  All other knowledge must arrive through messages.
 
-    Under a broadcast-only model (broadcast-CONGEST) targeted sends are
-    rejected and at most one broadcast per round is admitted.  That is the
-    only *semantic* send restriction: it belongs to the communication
-    model, never to an engine — every engine accepts every admission-legal
-    program.
+    Every model admits at most one broadcast per node per round, and a
+    broadcast-only model (broadcast-CONGEST) also rejects targeted sends.
+    These are the only send restrictions, and both engines enforce them
+    identically: they belong to the programming model, never to an engine.
 
-    Under a batch-collecting simulator engine (``batch=True`` — the
-    ``batch`` and ``columnar`` engines) the context collects traffic in
-    struct-of-arrays form instead of materialising one ``(dst, payload)``
-    tuple per message: the round's single broadcast payload is interned by
-    reference (one broadcast per round is admitted regardless of the
-    communication model — those engines intern the payload once per
-    sender), and targeted sends append into the per-sender grouped outbox
-    (``_t_dsts`` / ``_t_pays`` parallel columns) consumed by the shared
-    targeted-delivery fast path (:mod:`repro.distributed.targeted`).
+    The columnar engine builds its contexts with ``columnar=True``: they
+    collect traffic in struct-of-arrays form instead of materialising one
+    ``(dst, payload)`` tuple per message.  The round's single broadcast
+    payload is interned by reference, and targeted sends append into the
+    per-sender grouped outbox (``_t_dsts`` / ``_t_pays`` parallel columns)
+    consumed by the targeted fast path (:mod:`repro.distributed.targeted`).
     ``_t_bpos`` records where in that stream the broadcast was issued, so
-    mixed rounds replay in exactly the indexed engine's outbox order.
+    mixed rounds replay in exactly the reference engine's outbox order.
     ``engine_label`` and ``model_name`` name the engine and model in
     admission errors.
 
     The class is slotted: contexts sit on every engine's per-round hot path
-    (``round``/``halted`` reads in the driver, ``_batch_payload`` and the
-    targeted columns in the batch engines), and at E20 scale a million
-    instances exist at once.
+    (``round``/``halted`` reads in the driver, ``_broadcast_payload`` and
+    the targeted columns in the columnar collectors), and at E20 scale a
+    million instances exist at once.
     """
 
     __slots__ = (
@@ -63,12 +59,12 @@ class NodeContext:
         "halted",
         "output",
         "_broadcast_only",
-        "_batch",
+        "_columnar",
         "_engine_label",
         "_model_name",
         "_last_broadcast_round",
         "_outbox",
-        "_batch_payload",
+        "_broadcast_payload",
         "_t_dsts",
         "_t_pays",
         "_t_bpos",
@@ -83,8 +79,8 @@ class NodeContext:
         rng: random.Random | int,
         graph_neighbors: frozenset[Node] | None = None,
         broadcast_only: bool = False,
-        batch: bool = False,
-        engine_label: str = "batch",
+        columnar: bool = False,
+        engine_label: str = "reference",
         model_name: str = "LOCAL",
     ) -> None:
         self.node_id = node_id
@@ -108,19 +104,19 @@ class NodeContext:
         self.halted = False
         self.output: Any = None
         self._broadcast_only = broadcast_only
-        self._batch = batch
+        self._columnar = columnar
         self._engine_label = engine_label
         self._model_name = model_name
         self._last_broadcast_round = -1
         self._outbox: list[tuple[Node, Any]] = []
-        self._batch_payload: Any = NO_BROADCAST
-        # Per-sender grouped outbox of the batch-collecting engines:
-        # parallel destination/payload columns (struct of arrays), the
-        # broadcast's interleave position, and the engine's shared
+        self._broadcast_payload: Any = NO_BROADCAST
+        # Per-sender grouped outbox of the columnar engine: parallel
+        # destination/payload columns (struct of arrays), the broadcast's
+        # interleave position, and the engine's shared
         # round-had-targeted-traffic signal cell (a one-element list, so
         # flagging it is one store — no per-round scan over all contexts).
-        # The cell is never None — batch engines overwrite it with their
-        # shared cell, and the private default keeps the send hot path
+        # The cell is never None — the columnar engine overwrites it with
+        # its shared cell, and the private default keeps the send hot path
         # branch-free for directly constructed contexts.
         self._t_dsts: list[Node] = []
         self._t_pays: list[Any] = []
@@ -148,7 +144,7 @@ class NodeContext:
             raise NotANeighborError(
                 f"node {self.node_id!r} tried to message non-neighbour {dst!r}"
             )
-        if self._batch:
+        if self._columnar:
             self._t_dsts.append(dst)
             self._t_pays.append(payload)
             self._t_signal[0] = True
@@ -158,28 +154,19 @@ class NodeContext:
     def broadcast(self, payload: Any) -> None:
         """Queue ``payload`` for every (communication) neighbour."""
         # Round-based, not outbox-based, so the one-broadcast-per-round
-        # contract also holds for degree-0 nodes (empty outboxes).  The
-        # batch-collecting branch comes first and reads ``_batch`` once:
-        # this method runs once per node per round at E18/E20 scale.
-        if self._batch:
-            if self._last_broadcast_round == self.round:
-                raise self._double_broadcast_error()
-            self._last_broadcast_round = self.round
-            self._batch_payload = payload
+        # contract also holds for degree-0 nodes (empty outboxes).  This
+        # method runs once per node per round at E20 scale.
+        if self._last_broadcast_round == self.round:
+            raise self._double_broadcast_error()
+        self._last_broadcast_round = self.round
+        if self._columnar:
+            self._broadcast_payload = payload
             self._t_bpos = len(self._t_dsts)
             return
-        if self._broadcast_only:
-            if self._last_broadcast_round == self.round:
-                raise self._double_broadcast_error()
-            self._last_broadcast_round = self.round
         self._outbox.extend((dst, payload) for dst in self.neighbors)
 
     def _double_broadcast_error(self) -> MessageAdmissionError:
-        """The admission error for a second broadcast in one round.
-
-        Broadcast-only models take precedence in the message text, exactly
-        as before the batch-collecting engines existed.
-        """
+        """The admission error for a second broadcast in one round."""
         if self._broadcast_only:
             return MessageAdmissionError(
                 f"node {self.node_id!r}: the broadcast-only model "
@@ -187,9 +174,9 @@ class NodeContext:
                 f"neighbours per round"
             )
         return MessageAdmissionError(
-            f"node {self.node_id!r}: the {self._engine_label} engine "
-            f"admits one broadcast per node per round (its fast path "
-            f"interns the round's payload once per sender)"
+            f"node {self.node_id!r}: one broadcast per node per round is "
+            f"admitted (model {self._model_name}); send targeted messages "
+            f"with send()"
         )
 
     # ----------------------------------------------------------------- control

@@ -16,47 +16,29 @@ clique) decouple the *communication* topology from the input graph: messages
 travel on a virtual complete graph while programs still compute on the input
 graph exposed as ``ctx.graph_neighbors``.
 
-Four engines share the public API and produce identical results:
+Two engines share the public API and produce identical results:
 
-* ``indexed`` (default) — runs on the model's compiled communication
-  topology (:meth:`~repro.distributed.models.CommunicationModel.communication_topology`):
+* ``columnar`` (default) — the flat-array engine
+  (:mod:`repro.distributed.columnar`), running on the model's compiled
+  communication topology
+  (:meth:`~repro.distributed.models.CommunicationModel.communication_topology`):
   contexts and programs live in dense lists, an active-set scheduler skips
-  halted vertices, inboxes are materialised only for vertices with pending
-  traffic, per-link bandwidth accounting uses a preallocated
-  :class:`~repro.distributed.metrics.LinkLedger` indexed by CSR arc
-  position, and message sizes are measured once per distinct payload object
-  per round (:class:`~repro.distributed.encoding.BitsMemo`).
-* ``batch`` — a struct-of-arrays fast path.  Broadcast rounds exploit the
-  broadcast-admission invariant (one identical payload per sender per
-  round, the rule :class:`~repro.distributed.models.BroadcastCongestModel`
-  enforces and every broadcast-style workload obeys): each round's payload
-  is interned once per sender, sized once, and delivered by CSR slice over
-  the compiled topology instead of constructing one ``(dst, payload)``
-  message object per neighbour, with cut/overlay/bandwidth accounting
-  collapsed to per-sender arithmetic on preallocated per-node count
-  arrays.  Rounds with targeted traffic (``ctx.send`` appends into
-  per-sender grouped struct-of-arrays outboxes) are collected by the
-  shared targeted fast path (:mod:`repro.distributed.targeted`): flat
-  per-round columns, run-lifetime payload sizing, vectorised per-link
-  admission accounting and scatter delivery.  Bit-for-bit identical to
-  ``indexed`` for any program under every communication model.
-* ``columnar`` — the mega-scale flat-array engine
-  (:mod:`repro.distributed.columnar`).  On broadcast rounds the remaining
-  per-delivery Python loop is gone too: accounting reduces over
-  preallocated per-node count columns (NumPy kernels when importable,
-  stdlib ``array`` otherwise — identical results), payload sizes come
-  from a run-lifetime
+  halted vertices, and broadcast rounds intern each sender's one payload
+  by reference.  Accounting reduces over preallocated per-node count
+  columns (NumPy kernels when importable, stdlib ``array`` otherwise —
+  identical results), payload sizes come from a run-lifetime
   :class:`~repro.distributed.encoding.PayloadSizeTable`, per-round
   counters flush once through a
   :class:`~repro.distributed.metrics.RoundTally`, and fault-free delivery
   hands each receiver a lazy CSR-backed inbox view instead of building
-  dicts.  Rounds with targeted traffic take the same shared targeted fast
-  path as the batch engine (sharing the columnar size table).  Bit-for-bit
-  identical to ``indexed`` for any program, including under every
-  adversary.
-* ``reference`` — the original dict-of-dicts engine, kept as the
-  differential-testing oracle and as the baseline the throughput benchmark
-  (E16) measures speedups against.
+  dicts.  Rounds with targeted traffic take the targeted fast path
+  (:mod:`repro.distributed.targeted`), and runs whose programs opt in are
+  lowered to whole-round array kernels (:mod:`repro.distributed.vectorize`).
+* ``reference`` — the original dict-of-dicts engine: one ``(dst, payload)``
+  tuple per message, per-link dicts rebuilt every round.  It is the
+  differential-testing oracle every columnar path is checked against
+  bit-for-bit, and the baseline the throughput benchmarks measure
+  speedups against.
 
 Fault injection composes orthogonally with both the models and the engines:
 an :class:`~repro.distributed.adversary.Adversary` policy may destroy
@@ -77,24 +59,18 @@ check at every seam.
 from __future__ import annotations
 
 import random
-from array import array
 from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
 from repro.distributed.adversary import Adversary, DeliveryFilter
 from repro.distributed.columnar import build_columnar_collect
-from repro.distributed.encoding import (
-    BitsMemo,
-    PayloadSizeTable,
-    congest_budget_bits,
-)
+from repro.distributed.encoding import BitsMemo, congest_budget_bits
 from repro.distributed.errors import BandwidthExceededError, RoundLimitExceededError
-from repro.distributed.metrics import LinkLedger, Metrics, flush_round_tally
+from repro.distributed.metrics import Metrics
 from repro.distributed.models import CommunicationModel, LocalModel, Model, ModelConfig
-from repro.distributed.node import NO_BROADCAST, NodeContext
+from repro.distributed.node import NodeContext
 from repro.distributed.program import NodeProgram
-from repro.distributed.targeted import build_targeted_collect
 from repro.distributed.vectorize import try_lower
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
@@ -102,7 +78,10 @@ from repro.graphs.graph import Graph
 Node = Hashable
 ProgramFactory = Callable[[Node], NodeProgram]
 
-ENGINES = ("indexed", "batch", "columnar", "reference")
+ENGINES = ("columnar", "reference")
+
+#: The engine every entry point runs on unless told otherwise.
+DEFAULT_ENGINE = "columnar"
 
 
 @dataclass
@@ -156,14 +135,12 @@ class Simulator:
         crossing between this set and its complement are tallied separately
         (used by the lower-bound reduction harness).
     engine:
-        ``"indexed"`` (the compiled-topology engine, default),
-        ``"batch"`` (the struct-of-arrays fast path),
-        ``"columnar"`` (the mega-scale flat-array engine; NumPy-accelerated
+        ``"columnar"`` (the flat-array engine, default; NumPy-accelerated
         when NumPy is importable, stdlib otherwise) or ``"reference"``
-        (the original dict-based engine).  All engines produce identical
-        outputs and metrics for a fixed seed, for broadcast and targeted
-        traffic alike; the only send restriction is the *semantic* one —
-        broadcast-only models reject ``ctx.send`` on every engine.
+        (the dict-based oracle).  Both produce identical outputs and
+        metrics for a fixed seed, for broadcast and targeted traffic
+        alike, and admit the same programs: one broadcast per node per
+        round, and broadcast-only models reject ``ctx.send``.
     streaming_metrics:
         When true, run with ``Metrics(streaming=True)``: the
         ``bits_per_round`` history is capped (oldest buckets evicted into
@@ -177,7 +154,7 @@ class Simulator:
         delivery filter at all — byte-for-byte the fault-free behaviour.
         Fault decisions depend only on ``(round, src, dst)`` and the
         simulator seed, so the engine-parity contract extends to faulty
-        runs: all engines agree bit-for-bit under the same adversary.
+        runs: both engines agree bit-for-bit under the same adversary.
     vectorize:
         Whether the columnar engine may lower whole rounds to array
         kernels (:mod:`repro.distributed.vectorize`) when every program
@@ -211,7 +188,7 @@ class Simulator:
         model: CommunicationModel | None = None,
         seed: int | None = None,
         cut: Iterable[Node] | None = None,
-        engine: str = "indexed",
+        engine: str = DEFAULT_ENGINE,
         adversary: Adversary | None = None,
         streaming_metrics: bool = False,
         vectorize: bool = True,
@@ -233,15 +210,15 @@ class Simulator:
     def _new_metrics(self) -> Metrics:
         """Fresh metrics block for one run, honouring ``streaming_metrics``.
 
-        The single construction point for all four engines, so the
-        streaming knob can never apply to one engine and not another.
+        The single construction point for both engines, so the streaming
+        knob can never apply to one engine and not the other.
         """
         return Metrics(streaming=True) if self.streaming_metrics else Metrics()
 
     def _bind_adversary(self, metrics: Metrics) -> DeliveryFilter | None:
         """Seed fault counters and build this run's delivery filter (or None).
 
-        The one place all three engines obtain their filter, so the
+        The one place both engines obtain their filter, so the
         "no adversary == untouched hot path" rule can never diverge
         between them.
         """
@@ -261,11 +238,7 @@ class Simulator:
         self.lowered = False
         if self.engine == "reference":
             return self._run_reference(max_rounds, raise_on_limit)
-        if self.engine == "batch":
-            return self._run_batch(max_rounds, raise_on_limit)
-        if self.engine == "columnar":
-            return self._run_columnar(max_rounds, raise_on_limit)
-        return self._run_indexed(max_rounds, raise_on_limit)
+        return self._run_columnar(max_rounds, raise_on_limit)
 
     def _drive(
         self,
@@ -277,7 +250,7 @@ class Simulator:
         raise_on_limit: bool,
         filt: DeliveryFilter | None = None,
     ) -> list[int]:
-        """The shared round loop of the list-indexed engines.
+        """The stepped columnar engine's round loop.
 
         Runs ``on_start`` on every program, then alternates program rounds
         with ``collect`` (which drains the queued traffic of the given
@@ -292,7 +265,7 @@ class Simulator:
             programs[i].on_start(contexts[i])
 
         # Bind the round handlers once: the loop below runs n times per round
-        # at E18/E20 scale and the repeated method lookup is measurable.
+        # at E20 scale and the repeated method lookup is measurable.
         handlers = [program.on_round for program in programs]
         pending = collect(range(n))
         active = [i for i in range(n) if not contexts[i].halted]
@@ -320,27 +293,26 @@ class Simulator:
         return active
 
     def _build_contexts(
-        self, batch: bool
+        self,
     ) -> tuple[
         list[NodeContext],
         list[NodeProgram],
         list[frozenset[Node]] | None,
-        list[bool] | None,
+        list[bool],
     ]:
-        """Seed RNGs and build contexts/programs for the list-indexed engines.
+        """Seed RNGs and build contexts/programs for the columnar engine.
 
-        Shared by the indexed and batch engines so that the master-RNG
-        consumption order, the overlay adjacency derivation and the context
-        wiring can never diverge between them (the bit-for-bit engine-parity
-        contract depends on all three).  Overlay models expose the input
-        graph's adjacency separately: overlay labels reuse ``graph.freeze()``
-        order, hence the index spaces coincide.
+        The master RNG is drawn once per vertex in topology label order —
+        the same order the reference engine draws in, so the per-node
+        streams (and hence the bit-for-bit engine-parity contract) agree.
+        Overlay models expose the input graph's adjacency separately:
+        overlay labels reuse ``graph.freeze()`` order, hence the index
+        spaces coincide.
 
-        For batch-collecting engines the contexts additionally share one
-        targeted-traffic signal cell (returned as the fourth element):
-        ``ctx.send`` flags it, so those engines learn in O(1) whether a
-        round needs the targeted collection path — pure-broadcast rounds
-        never pay a per-sender scan.
+        The contexts share one targeted-traffic signal cell (returned as
+        the fourth element): ``ctx.send`` flags it, so the engine learns in
+        O(1) whether a round needs the targeted collection path —
+        pure-broadcast rounds never pay a per-sender scan.
         """
         topo = self.topology
         model = self.model
@@ -355,7 +327,7 @@ class Simulator:
             graph_sets = [graph_topo.neighbor_label_set(i) for i in range(n)]
         broadcast_only = model.broadcast_only
         model_name = model.name
-        tsignal: list[bool] | None = [False] if batch else None
+        tsignal = [False]
 
         contexts: list[NodeContext] = []
         programs: list[NodeProgram] = []
@@ -367,379 +339,37 @@ class Simulator:
                 rng=node_seeds[i],
                 graph_neighbors=graph_sets[i] if graph_sets is not None else None,
                 broadcast_only=broadcast_only,
-                batch=batch,
+                columnar=True,
                 engine_label=self.engine,
                 model_name=model_name,
             )
-            if tsignal is not None:
-                ctx._t_signal = tsignal
+            ctx._t_signal = tsignal
             contexts.append(ctx)
             programs.append(self.program_factory(labels[i]))
         return contexts, programs, graph_sets, tsignal
 
-    # -------------------------------------------------------- indexed engine
-    def _run_indexed(self, max_rounds: int, raise_on_limit: bool) -> RunResult:
-        topo = self.topology
-        model = self.model
-        n = topo.n
-        labels = topo.labels
-        contexts, programs, graph_sets, _ = self._build_contexts(batch=False)
-
-        metrics = self._new_metrics()
-        model.init_metrics(metrics)
-        filt = self._bind_adversary(metrics)
-        memo = BitsMemo()
-        budget = model.bandwidth_bits
-        # Per-link running totals, indexed by CSR arc position, zeroed in
-        # O(messages) between rounds.
-        ledger = LinkLedger(topo.arc_count) if budget is not None else None
-
-        def collect(sender_ids: Iterable[int]) -> list[dict[Node, list[Any]] | None]:
-            return self._collect_indexed(
-                contexts, sender_ids, metrics, memo, budget, ledger, graph_sets, filt
-            )
-
-        active = self._drive(
-            contexts, programs, collect, metrics, max_rounds, raise_on_limit, filt
-        )
-        outputs = {labels[i]: contexts[i].output for i in range(n)}
-        return RunResult(outputs=outputs, metrics=metrics, completed=not active)
-
-    def _collect_indexed(
-        self,
-        contexts: list[NodeContext],
-        sender_ids: Iterable[int],
-        metrics: Metrics,
-        memo: BitsMemo,
-        budget: int | None,
-        ledger: LinkLedger | None,
-        graph_sets: list[frozenset[Node]] | None,
-        filt: DeliveryFilter | None,
-    ) -> list[dict[Node, list[Any]] | None]:
-        """Drain outboxes, apply bandwidth accounting and build sparse inboxes."""
-        topo = self.topology
-        labels = topo.labels
-        index = topo.index
-        cut = self.cut
-        if ledger is not None:
-            link_bits, touched = ledger.bits, ledger.touched
-        else:
-            link_bits, touched = None, None
-        count_broadcasts = self.model.broadcast_only
-        transforms = filt is not None and filt.transforms
-        inboxes: list[dict[Node, list[Any]] | None] = [None] * topo.n
-
-        messages = 0
-        bits_total = 0
-        max_bits = metrics.max_message_bits
-        cut_messages = 0
-        cut_bits = 0
-        violations = 0
-        broadcast_payloads = 0
-        virtual_messages = 0
-
-        def flush() -> None:
-            flush_round_tally(
-                metrics, messages, bits_total, max_bits, cut_messages,
-                cut_bits, violations, broadcast_payloads, virtual_messages,
-            )
-
-        for src_i in sender_ids:
-            outbox = contexts[src_i]._outbox
-            if not outbox:
-                continue
-            contexts[src_i]._outbox = []
-            src = labels[src_i]
-            src_in_cut = cut is not None and src in cut
-            if count_broadcasts:
-                broadcast_payloads += 1
-            src_graph_set = graph_sets[src_i] if graph_sets is not None else None
-            for dst, payload in outbox:
-                bits = memo.measure(payload)
-                messages += 1
-                bits_total += bits
-                if bits > max_bits:
-                    max_bits = bits
-                if cut is not None and (src_in_cut != (dst in cut)):
-                    cut_messages += 1
-                    cut_bits += bits
-                if src_graph_set is not None and dst not in src_graph_set:
-                    virtual_messages += 1
-                dst_i = index[dst]
-                if budget is not None:
-                    pos = topo.arc_position(src_i, dst_i)
-                    if not link_bits[pos]:
-                        touched.append(pos)
-                    link_bits[pos] += bits
-                    if link_bits[pos] > budget:
-                        violations += 1
-                        if self.model.enforce:
-                            flush()
-                            raise BandwidthExceededError(
-                                f"message(s) on link {src!r}->{dst!r} use "
-                                f"{link_bits[pos]} bits, budget is {budget} "
-                                f"({self.model.name})"
-                            )
-                # Adversary seam: the sender has been fully charged by now;
-                # a destroyed message only skips inbox insertion, and a
-                # transforming filter rewrites the payload in flight.
-                # Deliver, then transform, then receiver liveness — the
-                # canonical order in every engine, so fault counters agree
-                # engine-to-engine.
-                if filt is not None:
-                    if not filt.deliver(src, dst, bits):
-                        continue
-                    if transforms:
-                        payload = filt.transform(src, dst, payload, bits)
-                if contexts[dst_i].halted:
-                    continue
-                box = inboxes[dst_i]
-                if box is None:
-                    box = inboxes[dst_i] = {}
-                payloads = box.get(src)
-                if payloads is None:
-                    box[src] = [payload]
-                else:
-                    payloads.append(payload)
-
-        flush()
-        memo.reset()
-        if ledger is not None:
-            ledger.reset_round()
-        return inboxes
-
-    # --------------------------------------------------------- batch engine
-    def _run_batch(self, max_rounds: int, raise_on_limit: bool) -> RunResult:
-        """Struct-of-arrays fast path.
-
-        Broadcast rounds exploit the broadcast-admission invariant — one
-        identical payload per sender per round — to collapse per-message
-        work into per-sender work: the payload is interned once (no
-        per-neighbour ``(dst, payload)`` tuples), sized once with
-        :func:`~repro.distributed.encoding.estimate_bits`, and delivered by
-        CSR slice.  Cut-crossing and overlay accounting use per-node
-        neighbour counts precomputed once per run, and CONGEST enforcement
-        reduces to a single ``bits > budget`` comparison per sender (a
-        link's round total equals the payload size, so no
-        :class:`~repro.distributed.metrics.LinkLedger` is needed).
-
-        Rounds with targeted traffic — contexts flag the shared signal cell
-        in ``ctx.send``, so pure-broadcast rounds never pay for the check —
-        are collected by the shared targeted fast path
-        (:func:`~repro.distributed.targeted.build_targeted_collect`, built
-        lazily on first use), which also handles any broadcast issued in
-        the same round.
-
-        Bit-for-bit identical to the indexed engine for any program under
-        every communication model.  One deliberate representation
-        difference: the single-payload inbox lists of one broadcast are
-        *shared* between its receivers (the indexed engine allocates one
-        list per receiver), so programs must treat inbox values as
-        read-only — which every shipped program and
-        :class:`~repro.distributed.program.BroadcastNodeProgram` already
-        do.
-        """
-        topo = self.topology
-        model = self.model
-        n = topo.n
-        labels = topo.labels
-        contexts, programs, graph_sets, tsignal = self._build_contexts(batch=True)
-        broadcast_only = model.broadcast_only
-
-        metrics = self._new_metrics()
-        model.init_metrics(metrics)
-        filt = self._bind_adversary(metrics)
-        budget = model.bandwidth_bits
-        enforce = model.enforce
-        indptr, indices = topo.indptr, topo.indices
-        cut = self.cut
-
-        # Materialise each sender's CSR slice as a plain list once per run:
-        # iterating a list of cached int objects beats re-decoding array("q")
-        # entries on every delivery, and the delivery loop is the hot path.
-        nbr_lists: list[list[int]] = [
-            list(indices[indptr[i] : indptr[i + 1]]) for i in range(n)
-        ]
-
-        # Per-sender accounting collapses to precomputed neighbour counts:
-        # a broadcast from ``i`` crosses the cut ``cut_counts[i]`` times and
-        # uses ``virtual_counts[i]`` non-input-graph overlay links, no
-        # matter what the payload is.
-        cut_counts: array | None = None
-        if cut is not None:
-            side = [labels[i] in cut for i in range(n)]
-            cut_counts = array("q", [0]) * n
-            for i in range(n):
-                mine = side[i]
-                cut_counts[i] = sum(
-                    1 for pos in range(indptr[i], indptr[i + 1]) if side[indices[pos]] != mine
-                )
-        virtual_counts: array | None = None
-        if graph_sets is not None:
-            virtual_counts = array("q", [0]) * n
-            for i in range(n):
-                gset = graph_sets[i]
-                virtual_counts[i] = sum(
-                    1
-                    for pos in range(indptr[i], indptr[i + 1])
-                    if labels[indices[pos]] not in gset
-                )
-
-        # The targeted fast path is built on first use, so broadcast-only
-        # programs never construct it.
-        targeted_collect = None
-
-        # Run-lifetime value-keyed size cache (identical to estimate_bits on
-        # every input): one dict probe per sender per round instead of one
-        # recursive estimate per payload.
-        sizes = PayloadSizeTable()
-        measure = sizes.measure
-
-        def collect(sender_ids: Iterable[int]) -> list[dict[Node, list[Any]] | None]:
-            if tsignal[0]:
-                # At least one ctx.send this round: the whole round (any
-                # broadcasts included, replayed at their outbox positions)
-                # goes through the shared targeted-delivery path.
-                tsignal[0] = False
-                nonlocal targeted_collect
-                if targeted_collect is None:
-                    targeted_collect = build_targeted_collect(
-                        self, contexts, metrics, graph_sets, filt
-                    )
-                return targeted_collect(sender_ids)
-            inboxes: list[dict[Node, list[Any]] | None] = [None] * n
-            # Halting only changes between collection passes, so one dense
-            # snapshot replaces a per-message attribute dereference.
-            halted = [ctx.halted for ctx in contexts]
-            transforms = filt is not None and filt.transforms
-
-            messages = 0
-            bits_total = 0
-            max_bits = metrics.max_message_bits
-            cut_messages = 0
-            cut_bits = 0
-            violations = 0
-            broadcast_payloads = 0
-            virtual_messages = 0
-
-            def flush() -> None:
-                flush_round_tally(
-                    metrics, messages, bits_total, max_bits, cut_messages,
-                    cut_bits, violations, broadcast_payloads, virtual_messages,
-                )
-
-            for src_i in sender_ids:
-                ctx = contexts[src_i]
-                payload = ctx._batch_payload
-                if payload is NO_BROADCAST:
-                    continue
-                ctx._batch_payload = NO_BROADCAST
-                nbrs = nbr_lists[src_i]
-                deg = len(nbrs)
-                if not deg:
-                    # A degree-0 broadcast delivers nothing (matches the
-                    # indexed engine's empty outbox: no metrics, no counter).
-                    continue
-                bits = measure(payload)
-                messages += deg
-                bits_total += deg * bits
-                if bits > max_bits:
-                    max_bits = bits
-                if broadcast_only:
-                    broadcast_payloads += 1
-                if cut_counts is not None:
-                    crossing = cut_counts[src_i]
-                    if crossing:
-                        cut_messages += crossing
-                        cut_bits += crossing * bits
-                if virtual_counts is not None:
-                    virtual_messages += virtual_counts[src_i]
-                if budget is not None and bits > budget:
-                    violations += deg
-                    if enforce:
-                        flush()
-                        src = labels[src_i]
-                        raise BandwidthExceededError(
-                            f"message(s) on link {src!r}->{labels[nbrs[0]]!r} use "
-                            f"{bits} bits, budget is {budget} "
-                            f"({model.name})"
-                        )
-                src = labels[src_i]
-                if filt is None:
-                    # One payload list shared by every receiver (read-only
-                    # inbox contract; saves an allocation per delivery).
-                    plist = [payload]
-                    for dst_i in nbrs:
-                        if halted[dst_i]:
-                            continue
-                        box = inboxes[dst_i]
-                        if box is None:
-                            inboxes[dst_i] = {src: plist}
-                        else:
-                            box[src] = plist
-                elif not transforms:
-                    # Adversary seam, branched outside the hot loop so the
-                    # fault-free fast path pays nothing.  Filter before the
-                    # liveness check, exactly as the indexed engine does.
-                    plist = [payload]
-                    for dst_i in nbrs:
-                        if not filt.deliver(src, labels[dst_i], bits):
-                            continue
-                        if halted[dst_i]:
-                            continue
-                        box = inboxes[dst_i]
-                        if box is None:
-                            inboxes[dst_i] = {src: plist}
-                        else:
-                            box[src] = plist
-                else:
-                    # Transforming adversary: the broadcast may arrive
-                    # differently at each neighbour, so the shared-payload
-                    # fan-out is invalid — materialize one list per edge.
-                    transform = filt.transform
-                    for dst_i in nbrs:
-                        dst = labels[dst_i]
-                        if not filt.deliver(src, dst, bits):
-                            continue
-                        tpay = transform(src, dst, payload, bits)
-                        if halted[dst_i]:
-                            continue
-                        box = inboxes[dst_i]
-                        if box is None:
-                            inboxes[dst_i] = {src: [tpay]}
-                        else:
-                            box[src] = [tpay]
-
-            flush()
-            return inboxes
-
-        active = self._drive(
-            contexts, programs, collect, metrics, max_rounds, raise_on_limit, filt
-        )
-        outputs = {labels[i]: contexts[i].output for i in range(n)}
-        return RunResult(outputs=outputs, metrics=metrics, completed=not active)
-
     # ------------------------------------------------------- columnar engine
     def _run_columnar(self, max_rounds: int, raise_on_limit: bool) -> RunResult:
-        """Flat-array mega-scale engine (see :mod:`repro.distributed.columnar`).
+        """Flat-array engine (see :mod:`repro.distributed.columnar`).
 
-        Same shell as the batch engine — shared context construction, shared
-        round loop, shared adversary binding — with the per-round collection
-        pass swapped for the columnar kernels built by
-        :func:`~repro.distributed.columnar.build_columnar_collect`:
+        Either lowers the whole run to array kernels
+        (:func:`~repro.distributed.vectorize.try_lower`) or steps it: the
+        shared round loop (:meth:`_drive`) with each round's traffic
+        collected by the kernels of
+        :func:`~repro.distributed.columnar.build_columnar_collect` —
         vectorised accounting over per-node count columns, a run-lifetime
-        payload size table, one metrics flush per round, and lazy CSR-backed
-        inbox views in place of per-delivery dict inserts.  Rounds with
-        targeted traffic delegate to the shared targeted fast path
+        payload size table, one metrics flush per round, and lazy
+        CSR-backed inbox views in place of per-delivery dict inserts.
+        Rounds with targeted traffic delegate to the targeted fast path
         (:func:`~repro.distributed.targeted.build_targeted_collect`),
         sharing this engine's payload size table.  Bit-for-bit identical to
-        the indexed engine for every program under every communication
+        the reference engine for every program under every communication
         model and adversary.
         """
         topo = self.topology
         n = topo.n
         labels = topo.labels
-        contexts, programs, graph_sets, tsignal = self._build_contexts(batch=True)
+        contexts, programs, graph_sets, tsignal = self._build_contexts()
 
         metrics = self._new_metrics()
         self.model.init_metrics(metrics)
@@ -893,7 +523,7 @@ def run_program(
     seed: int | None = None,
     max_rounds: int = 10_000,
     cut: Iterable[Node] | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary: Adversary | None = None,
     streaming_metrics: bool = False,
     vectorize: bool = True,
@@ -929,6 +559,7 @@ def congest_overhead_report(result: RunResult, n: int, logn_factor: int = 32) ->
 
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "ENGINES",
     "Model",
     "ModelConfig",

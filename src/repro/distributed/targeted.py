@@ -1,27 +1,24 @@
-"""Targeted-send fast path shared by the batch-collecting engines.
+"""Targeted-send fast path of the columnar engine.
 
-Until PR 7 the ``batch`` and ``columnar`` engines rejected targeted sends
-outright, which locked the fast engines out of every Congested Clique
-workload — the setting the source paper actually lives in.  This module is
-the removal of that restriction: one collection path, shared by both
-engines, that consumes the per-sender grouped outboxes
+Congested Clique workloads — the setting the source paper actually lives
+in — are targeted end to end.  This module is the columnar engine's
+collection path for them: it consumes the per-sender grouped outboxes
 (:class:`~repro.distributed.node.NodeContext` ``_t_dsts`` / ``_t_pays``
-struct-of-arrays columns) which ``ctx.send`` now appends to instead of
-raising.
+struct-of-arrays columns) which ``ctx.send`` appends to.
 
 A round that saw at least one targeted send (the contexts flag a shared
 one-element signal cell, so pure-broadcast rounds pay nothing) is collected
 here instead of by the engine's broadcast kernels:
 
 * **gather** — senders are walked in ascending index order (the order the
-  indexed oracle inserts inbox keys in); each sender's destination /
+  reference oracle inserts inbox keys in); each sender's destination /
   payload columns are drained into flat per-round columns by C-level list
   extends, destinations resolve to dense indices through the compiled
   topology (label identity is detected once per run, making resolution a
   no-op for the shipped 0..n-1 graph families), and a round's broadcast —
   mixed rounds are legal — is expanded into the same columns at the
   position ``ctx.broadcast`` was called at (``_t_bpos``), so per-link
-  message order is exactly the indexed engine's outbox order;
+  message order is exactly the reference engine's outbox order;
 * **sizing** — payload sizes come from the engine's run-lifetime
   :class:`~repro.distributed.encoding.PayloadSizeTable` via one C-level
   ``map`` per sender group, not one Python call per message per round;
@@ -40,29 +37,29 @@ here instead of by the engine's broadcast kernels:
 
 The ordered path (:func:`build_targeted_collect`'s ``_ordered_collect``)
 is the bit-for-bit reference: it walks the gathered stream exactly like
-the indexed engine's collection loop — accounting per message, per-link
+the reference engine's collection loop — accounting per message, per-link
 budget totals, enforcement raising mid-stream with partially flushed
 metrics, the PR 5 adversary seam consulted per message
 (:meth:`~repro.distributed.adversary.DeliveryFilter.deliver`, or one
 :meth:`~repro.distributed.adversary.DeliveryFilter.deliver_mask` call for
 a broadcast segment's uniform-size row) *before* the receiver-liveness
-check — and builds eager batch-style inbox dicts.  The NumPy kernels must
+check — and builds eager inbox dicts.  The NumPy kernels must
 agree with it exactly; when a violation must raise under an enforcing
 model, the vectorised path detects it cheaply and re-runs the ordered walk
 so the raised error and the partially flushed metrics match the oracle.
 
 Parity contract (the gate the fast path ships under): for any program, on
-rounds containing targeted traffic, batch and columnar runs are bit-for-bit
-identical to the ``indexed`` engine — outputs, ``Metrics.as_dict()``,
+rounds containing targeted traffic, columnar runs are bit-for-bit
+identical to the ``reference`` engine — outputs, ``Metrics.as_dict()``,
 ``bits_per_round`` — under all communication models that admit targeted
 sends and under every adversary.  Two deliberate representation
-differences, both inherited from the PR 4/6 contracts: fault-free NumPy
+differences, shared with the broadcast kernels: fault-free NumPy
 rounds hand receivers :class:`TargetedInbox` views (not dicts), and
 payload lists may be shared between receivers of one broadcast — programs
 treat inboxes as read-only and do not stash them across rounds.  One
 documented divergence: on an *enforcing* model, a mixed
 broadcast-plus-targeted round expands the broadcast in compiled-topology
-CSR order rather than the indexed engine's ``frozenset`` iteration order,
+CSR order rather than the reference engine's ``frozenset`` iteration order,
 so when several links violate at once the named link may differ (the
 raise, the exception type and the totals-at-raise semantics are
 identical); pure-targeted rounds enforce in exact oracle order.
@@ -118,7 +115,7 @@ class TargetedInbox(Mapping):
 
     The fault-free NumPy delivery kernel sorts the round's messages by
     destination (stable, so each receiver's segment keeps ascending-sender,
-    outbox-order message order — the indexed engine's insertion order) and
+    outbox-order message order — the reference engine's insertion order) and
     hands each receiver one of these views instead of building a dict per
     receiver.  The Mapping facade materialises the per-sender payload
     lists lazily, once, on first dict-style access: a program that only
@@ -126,8 +123,7 @@ class TargetedInbox(Mapping):
 
     Views alias the round's scatter columns and are valid only for the
     round they were handed to ``on_round`` for; payload lists are shared
-    with the engine — the batch engines' existing read-only inbox
-    contract.
+    with the engine — the columnar engine's read-only inbox contract.
     """
 
     __slots__ = ("_srcs", "_pays", "_lo", "_hi", "_items")
@@ -211,16 +207,15 @@ def build_targeted_collect(
     metrics: Metrics,
     graph_sets,
     filt: "DeliveryFilter | None",
-    size_table: PayloadSizeTable | None = None,
+    size_table: PayloadSizeTable,
 ) -> Callable[[Iterable[int]], list[Any]]:
-    """Build the shared targeted-round ``collect`` callable.
+    """Build the targeted-round ``collect`` callable.
 
-    Invoked lazily by the batch and columnar engines the first time a run
-    actually sees a targeted send (broadcast-only runs never pay for it).
-    ``sim`` supplies the compiled topology, model and cut exactly as the
-    engines see them; ``size_table`` lets the columnar engine share its
-    run-lifetime payload size cache with this path (the batch engine passes
-    ``None`` and gets a private table).
+    Invoked lazily by the columnar engine the first time a run actually
+    sees a targeted send (broadcast-only runs never pay for it).  ``sim``
+    supplies the compiled topology, model and cut exactly as the reference
+    engine sees them; ``size_table`` is the columnar engine's run-lifetime
+    payload size cache, shared with this path.
     """
     np = _np  # snapshot per run; tests monkeypatch the module global
     topo = sim.topology
@@ -232,8 +227,6 @@ def build_targeted_collect(
     budget = model.bandwidth_bits
     enforce = model.enforce
     indptr, indices = topo.indptr, topo.indices
-    if size_table is None:
-        size_table = PayloadSizeTable()
     measure = size_table.measure
     int_probe = size_table.int_sizes.__getitem__
     index_get = index.__getitem__
@@ -289,7 +282,7 @@ def build_targeted_collect(
     ) -> list[dict[Any, list[Any]] | None] | None:
         """The oracle-order path: per-message accounting, filtering, delivery.
 
-        Walks the gathered stream exactly like the indexed engine's
+        Walks the gathered stream exactly like the reference engine's
         collection loop (ascending senders, outbox order within a sender),
         so enforcement raises, adversary decisions and inbox contents are
         bit-for-bit the oracle's.  Serves as the stdlib kernel, the
@@ -438,7 +431,7 @@ def build_targeted_collect(
         for src_i in sender_ids:
             ctx = ctxs[src_i]
             tdsts = ctx._t_dsts
-            bpay = ctx._batch_payload
+            bpay = ctx._broadcast_payload
             if not tdsts and bpay is no_bcast:
                 continue
             tpays = ctx._t_pays
@@ -449,7 +442,7 @@ def build_targeted_collect(
                 # Pure targeted sender: three C-level column extends.
                 # ``_t_bpos`` may hold a stale value here, but it is only
                 # ever read in the broadcast branch below, and broadcast()
-                # always writes it fresh before setting ``_batch_payload``.
+                # always writes it fresh before setting ``_broadcast_payload``.
                 if ident:
                     t_dst_extend(tdsts)
                 else:
@@ -463,7 +456,7 @@ def build_targeted_collect(
             # position so per-link message order matches the oracle.
             bpos = ctx._t_bpos
             ctx._t_bpos = -1
-            ctx._batch_payload = no_bcast
+            ctx._broadcast_payload = no_bcast
             if bpos < 0:
                 bpos = 0
             if bpos:

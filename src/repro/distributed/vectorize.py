@@ -31,7 +31,7 @@ The columnar engine attempts lowering (:func:`try_lower`) when
   of every shipped graph family).
 
 Parity contract: a lowered run is **bit-for-bit identical** to the stepped
-columnar run (and hence to the indexed oracle) — outputs,
+columnar run (and hence to the reference oracle) — outputs,
 ``Metrics.as_dict()``, ``bits_per_round``, fault counters, enforcement
 raises — under all four communication models and under drop/crash
 adversaries.  The load-bearing details:
@@ -40,8 +40,8 @@ adversaries.  The load-bearing details:
   dot-products over per-node degree/cut/overlay count columns, one
   :class:`~repro.distributed.metrics.RoundTally` flush per collection pass
   (including the round-0 pass and the final empty pass), absolute
-  ``max_message_bits`` store, and the batch-ordered enforcement walk with
-  the batch engine's partially-flushed metrics and message text;
+  ``max_message_bits`` store, and the sender-ordered enforcement walk with
+  the stepped engine's partially-flushed metrics and message text;
 * payload sizes come from closed forms (:func:`int_payload_bits`,
   :func:`repetition_frame_bits`) pinned by tests to equal
   :func:`~repro.distributed.encoding.estimate_bits` on every value the
@@ -471,7 +471,7 @@ class EngineView:
         return senders
 
     def _accumulate_ordered(self, senders: list[int]) -> tuple:
-        """Batch-order accounting walk; raises on an enforced violation.
+        """Sender-order accounting walk; raises on an enforced violation.
 
         A verbatim twin of the stepped columnar engine's ordered kernel, so
         enforcement raises carry bit-for-bit the same partially-flushed

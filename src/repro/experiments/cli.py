@@ -12,8 +12,8 @@ Subcommands::
         --json PATH               write the stable JSON report
         --cache DIR               on-disk result cache keyed by spec hash
         --engine NAME             pin engine-aware scenarios to one simulator
-                                  engine (reference / indexed / batch /
-                                  columnar)
+                                  engine (columnar, the default, or the
+                                  reference oracle)
         --adversary SPEC          pin adversary-aware scenarios to one fault
                                   policy (none / drop:RATE / crash:N@R,... /
                                   budget:BITS)
@@ -207,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="pin engine-aware scenarios to one simulator engine (the "
-        "override becomes part of each spec, hence of its cache key); "
-        "every engine carries both broadcast and targeted traffic, "
-        "bit-for-bit",
+        help="pin engine-aware scenarios to one simulator engine: "
+        "'columnar' (the default) or the 'reference' oracle; both carry "
+        "broadcast and targeted traffic bit-for-bit (the override becomes "
+        "part of each spec, hence of its cache key)",
     )
     runner.add_argument(
         "--adversary",

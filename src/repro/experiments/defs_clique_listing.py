@@ -1,8 +1,8 @@
 """Registry definition for E21 — the clique-listing / targeted-traffic tier.
 
-E21 is the first experiment family whose traffic is *targeted* end to end,
-exercising the fast path that lets the ``batch`` and ``columnar`` engines
-carry ``ctx.send`` traffic (PR 7):
+E21 is the experiment family whose traffic is *targeted* end to end,
+exercising the fast path that carries ``ctx.send`` traffic on the
+``columnar`` engine:
 
 * **listing** — partition-based triangle listing
   (:mod:`repro.core.clique_listing`, per arXiv 2205.09245) on a seeded
@@ -16,10 +16,10 @@ carry ``ctx.send`` traffic (PR 7):
   whose folded checksum doubles as a differential fingerprint across
   engines.
 
-The same workload runs on several engines so the cross-scenario ``verify``
-hook can pin bit-for-bit physics agreement — the targeted counterpart of
-the E18/E20 anchors.  As with those tiers, wall time lives under
-``timing.*`` and the batch-vs-indexed speedup *assertion* lives in
+The same workload runs on both engines so the cross-scenario ``verify``
+hook can pin bit-for-bit physics agreement with the ``reference`` oracle.
+As in the other substrate tiers, wall time lives under ``timing.*`` and
+the columnar-vs-reference speedup *assertion* lives in
 ``benchmarks/bench_e21_clique_listing.py`` behind the ``E21_MIN_SPEEDUP``
 knob; the registry only pins physics so CLI sweeps never flake on loaded
 machines.
@@ -32,6 +32,7 @@ from typing import Any
 
 from repro.core.clique_listing import brute_force_triangles, run_clique_listing
 from repro.core.clique_routing import run_targeted_fanout
+from repro.distributed import DEFAULT_ENGINE
 from repro.experiments.families import build_graph
 from repro.experiments.registry import Experiment, check, register
 from repro.experiments.spec import ScenarioSpec
@@ -45,13 +46,11 @@ _FANOUT_ROUNDS = 24
 
 #: scenario name -> (workload, engine, mode-or-None).
 _E21_SCENARIOS: dict[str, tuple[str, str, str | None]] = {
-    "listing direct indexed": ("listing", "indexed", "direct"),
-    "listing direct batch": ("listing", "batch", "direct"),
+    "listing direct reference": ("listing", "reference", "direct"),
     "listing direct columnar": ("listing", "columnar", "direct"),
-    "listing routed indexed": ("listing", "indexed", "routed"),
-    "listing routed batch": ("listing", "batch", "routed"),
-    "fanout indexed": ("fanout", "indexed", None),
-    "fanout batch": ("fanout", "batch", None),
+    "listing routed reference": ("listing", "reference", "routed"),
+    "listing routed columnar": ("listing", "columnar", "routed"),
+    "fanout reference": ("fanout", "reference", None),
     "fanout columnar": ("fanout", "columnar", None),
 }
 
@@ -60,7 +59,7 @@ def _run_e21(spec: ScenarioSpec) -> dict[str, Any]:
     workload = spec.param("workload")
     graph = build_graph(spec.param("graph"))
     n = graph.number_of_nodes()
-    engine = spec.engine or "indexed"
+    engine = spec.engine or DEFAULT_ENGINE
     start = time.perf_counter()
     if workload == "listing":
         result = run_clique_listing(
@@ -119,8 +118,7 @@ def _run_e21(spec: ScenarioSpec) -> dict[str, Any]:
 
 
 def _verify_e21(results) -> dict[str, Any]:
-    # Bit-for-bit physics agreement across engines, per workload group: the
-    # targeted counterpart of the E18/E20 parity anchors.
+    # Bit-for-bit physics agreement across engines, per workload group.
     groups: dict[tuple[str, Any], list[dict[str, Any]]] = {}
     for result in results:
         key = (result["workload"], result.get("mode"))

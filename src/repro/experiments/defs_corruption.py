@@ -23,8 +23,8 @@ variants, the documented soundness failure for the plain program, and
 spanner validity (:func:`repro.spanner.is_k_spanner`) for the
 checksummed-attach spanner where the plain one is pinned invalid.  The
 cross-scenario ``verify`` pins zero-rate identity (``corrupt:0.0`` ==
-fault-free modulo zero-valued fault counters), four-engine bit-for-bit
-parity under one corruption seed, corrupted-fraction monotonicity in the
+fault-free modulo zero-valued fault counters), columnar/reference
+bit-for-bit parity under one corruption seed, corrupted-fraction monotonicity in the
 rate, and that both codes pay strictly more bits than the plain program.
 """
 
@@ -43,6 +43,7 @@ from repro.core.robust_coding import (
     run_coded_flood_max,
     run_redundant_flood_max,
 )
+from repro.distributed import DEFAULT_ENGINE
 from repro.distributed.adversary import Adversary, CorruptAdversary, build_adversary
 from repro.experiments.families import build_graph
 from repro.experiments.registry import Experiment, check, register
@@ -108,7 +109,7 @@ def _run_flood(spec: ScenarioSpec) -> dict[str, Any]:
     patience = spec.param("patience")
     code = spec.param("code")
     seed = spec.param("run_seed")
-    engine = spec.engine or "indexed"
+    engine = spec.engine or DEFAULT_ENGINE
     if code == "repetition":
         result = run_redundant_flood_max(
             graph, patience=patience, seed=seed, engine=engine, adversary=adversary
@@ -172,7 +173,7 @@ def _run_spanner(spec: ScenarioSpec) -> dict[str, Any]:
     result = runner(
         graph,
         seed=spec.param("run_seed"),
-        engine=spec.engine or "indexed",
+        engine=spec.engine or DEFAULT_ENGINE,
         adversary=adversary,
     )
     # The level schedule is round-driven: corruption never stalls it.
@@ -202,7 +203,7 @@ def _run_spanner(spec: ScenarioSpec) -> dict[str, Any]:
         "workload": "spanner",
         "code": code,
         "adversary": spec.adversary or "none",
-        "engine": spec.engine or "indexed",
+        "engine": spec.engine or DEFAULT_ENGINE,
         "n": n,
         "m": graph.number_of_edges(),
         "rounds": result.rounds,
@@ -227,8 +228,8 @@ def _verify_e22(results) -> dict[str, Any]:
     ``run --adversary`` rewrites every scenario to one fault policy, which
     collapses the sweep; checks comparing *different* adversaries or codes
     are therefore guarded on the labels actually present, while the
-    four-engine differential (same adversary, different engines) holds
-    under any pin.
+    engine differential (same adversary, different engines) holds under
+    any pin.
     """
     (
         plain_none,
@@ -238,7 +239,6 @@ def _verify_e22(results) -> dict[str, Any]:
         rep_none,
         rep_lo,
         rep_hi,
-        rep_hi_batch,
         rep_hi_columnar,
         rep_hi_reference,
         sum_none,
@@ -248,9 +248,9 @@ def _verify_e22(results) -> dict[str, Any]:
         span_plain_hi,
         span_coded_hi,
     ) = results
-    # Four-engine differential under the same corruption seed: every
-    # non-timing key must agree bit-for-bit, fault counters included.
-    for other in (rep_hi_batch, rep_hi_columnar, rep_hi_reference):
+    # Engine differential under the same corruption seed: every non-timing
+    # key must agree bit-for-bit, fault counters included.
+    for other in (rep_hi_columnar, rep_hi_reference):
         for key in rep_hi:
             if key.startswith("timing.") or key == "engine":
                 continue
@@ -390,12 +390,6 @@ register(
             _flood_spec("floodmax repetition none", "repetition", None),
             _flood_spec("floodmax repetition corrupt=0.05", "repetition", _CORRUPT_LO),
             _flood_spec("floodmax repetition corrupt=0.10", "repetition", _CORRUPT_HI),
-            _flood_spec(
-                "floodmax repetition corrupt=0.10 batch",
-                "repetition",
-                _CORRUPT_HI,
-                engine="batch",
-            ),
             _flood_spec(
                 "floodmax repetition corrupt=0.10 columnar",
                 "repetition",

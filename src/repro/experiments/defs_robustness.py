@@ -18,10 +18,10 @@ Per-scenario ``check()`` invariants pin termination bounds, correct output
 with the configured drop rate; the cross-scenario ``verify`` pins that a
 zero-rate :class:`~repro.distributed.adversary.DropAdversary` reproduces
 fault-free physics bit-for-bit (only zero-valued fault counters appear) and
-that the indexed and batch engines agree bit-for-bit *under the same
+that the columnar and reference engines agree bit-for-bit *under the same
 adversary*.  The ``NoAdversary`` overhead guard lives in the benchmark
 wrapper (``benchmarks/bench_e19_robustness.py``), not here, following the
-E16/E18 precedent.
+E16 precedent.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.core import (
     run_clique_two_spanner,
     run_robust_flood_max,
 )
+from repro.distributed import DEFAULT_ENGINE
 from repro.distributed.adversary import (
     Adversary,
     CrashAdversary,
@@ -75,7 +76,7 @@ def _run_flood(spec: ScenarioSpec) -> dict[str, Any]:
         graph,
         patience=patience,
         seed=spec.param("run_seed"),
-        engine=spec.engine or "indexed",
+        engine=spec.engine or DEFAULT_ENGINE,
         adversary=adversary,
     )
     bound = robust_flood_max_round_bound(n, patience)
@@ -88,7 +89,7 @@ def _run_flood(spec: ScenarioSpec) -> dict[str, Any]:
     out: dict[str, Any] = {
         "workload": "floodmax",
         "adversary": spec.adversary or "none",
-        "engine": spec.engine or "indexed",
+        "engine": spec.engine or DEFAULT_ENGINE,
         "n": n,
         "m": graph.number_of_edges(),
         "rounds": result.rounds,
@@ -184,7 +185,7 @@ def _run_spanner(spec: ScenarioSpec) -> dict[str, Any]:
     result = run_clique_two_spanner(
         graph,
         seed=spec.param("run_seed"),
-        engine=spec.engine or "indexed",
+        engine=spec.engine or DEFAULT_ENGINE,
         adversary=adversary,
     )
     # The level schedule is round-driven: no fault may stretch or shrink it.
@@ -197,7 +198,7 @@ def _run_spanner(spec: ScenarioSpec) -> dict[str, Any]:
     out: dict[str, Any] = {
         "workload": "spanner",
         "adversary": spec.adversary or "none",
-        "engine": spec.engine or "indexed",
+        "engine": spec.engine or DEFAULT_ENGINE,
         "n": n,
         "m": graph.number_of_edges(),
         "rounds": result.rounds,
@@ -263,22 +264,22 @@ def _verify_e19(results) -> dict[str, Any]:
         flood_none,
         flood_zero,
         flood_d5,
-        flood_d5_batch,
+        flood_d5_reference,
         flood_d20,
         flood_crash,
         span_none,
         span_d5,
         span_crash,
     ) = results
-    # Engine differential under the same adversary: indexed vs batch must be
-    # bit-for-bit identical, fault counters included.
+    # Engine differential under the same adversary: columnar vs reference
+    # must be bit-for-bit identical, fault counters included.
     for key in flood_d5:
         if key.startswith("timing.") or key == "engine":
             continue
         check(
-            flood_d5[key] == flood_d5_batch[key],
+            flood_d5[key] == flood_d5_reference[key],
             f"engines disagree under {flood_d5['adversary']} on {key}: "
-            f"{flood_d5[key]!r} != {flood_d5_batch[key]!r}",
+            f"{flood_d5[key]!r} != {flood_d5_reference[key]!r}",
         )
     if flood_none["adversary"] == "none" and flood_zero["adversary"] == "drop:0.0":
         # A zero-rate DropAdversary must reproduce fault-free physics
@@ -346,7 +347,7 @@ register(
             ScenarioSpec.make(
                 "E19",
                 "floodmax drop=0.05",
-                engine="indexed",
+                engine="columnar",
                 adversary="drop:0.05",
                 workload="floodmax",
                 graph=_FLOOD_GRAPH,
@@ -355,8 +356,8 @@ register(
             ),
             ScenarioSpec.make(
                 "E19",
-                "floodmax drop=0.05 batch",
-                engine="batch",
+                "floodmax drop=0.05 reference",
+                engine="reference",
                 adversary="drop:0.05",
                 workload="floodmax",
                 graph=_FLOOD_GRAPH,

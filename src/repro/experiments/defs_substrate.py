@@ -1,22 +1,18 @@
-"""Registry definitions for the substrate experiments: E16 (indexed-engine
-throughput), E17 (Congested Clique vs CONGEST) and E18 (batch-engine scale
-sweep).
+"""Registry definitions for the substrate experiments: E16 (columnar-engine
+throughput) and E17 (Congested Clique vs CONGEST).
 
-E16 and E18 measure wall time by design, so their timing lives under
-``timing.*`` result keys — the one namespace the determinism contract
-excludes (see :func:`repro.experiments.runner.strip_timing`); physics
-(rounds, edges, metrics) must still be bit-for-bit identical across engines
-and runs.  The engine-speedup *assertions* stay in the pytest wrappers
-(``benchmarks/bench_e16_simulator_throughput.py`` /
-``benchmarks/bench_e18_batch_engine.py``) where the environment knobs live;
-the registry ``verify`` hooks only pin physics equality so CLI sweeps on
-loaded machines never flake.
+E16 measures wall time by design, so its timing lives under ``timing.*``
+result keys — the one namespace the determinism contract excludes (see
+:func:`repro.experiments.runner.strip_timing`); physics (rounds, edges,
+metrics) must still be bit-for-bit identical across engines and runs.  The
+engine-speedup *assertion* stays in the pytest wrapper
+(``benchmarks/bench_e16_simulator_throughput.py``) where the environment
+knob lives; the registry ``verify`` hook only pins physics equality so CLI
+sweeps on loaded machines never flake.
 
 E17 compares edge sets across scenarios through a canonical hash instead of
-embedding every edge list in the report.  E18 pushes a pure-broadcast
-flood-max workload (``repro.core.flood_max``) to n >= 20000 on the
-``batch`` engine, with an indexed-engine twin at n = 20000 as the
-differential/throughput baseline.
+embedding every edge list in the report.  The pure-broadcast flood-max
+scale workload lives in E20 (``defs_megascale``).
 """
 
 from __future__ import annotations
@@ -26,13 +22,8 @@ import math
 import time
 from typing import Any
 
-from repro.core import (
-    clique_spanner_round_bound,
-    run_clique_two_spanner,
-    run_flood_max,
-    run_two_spanner,
-)
-from repro.distributed import congest_model
+from repro.core import clique_spanner_round_bound, run_clique_two_spanner, run_two_spanner
+from repro.distributed import DEFAULT_ENGINE, congest_model
 from repro.experiments.families import build_graph
 from repro.experiments.registry import Experiment, check, register
 from repro.experiments.spec import ScenarioSpec
@@ -46,13 +37,13 @@ def edges_digest(edges) -> str:
 
 
 # --------------------------------------------------------------------------
-# E16 — simulator throughput: rounds/sec of the indexed execution core
+# E16 — simulator throughput: rounds/sec of the columnar engine
 # --------------------------------------------------------------------------
 
 
 def _run_e16(spec: ScenarioSpec) -> dict[str, Any]:
     graph = build_graph(spec.param("graph"))
-    engine = spec.engine or "indexed"
+    engine = spec.engine or DEFAULT_ENGINE
     start = time.perf_counter()
     result = run_two_spanner(graph, seed=spec.param("run_seed"), engine=engine)
     elapsed = time.perf_counter() - start
@@ -66,7 +57,7 @@ def _run_e16(spec: ScenarioSpec) -> dict[str, Any]:
 
 
 def _verify_e16(results) -> dict[str, Any]:
-    reference, indexed = results
+    reference, columnar = results
     # Identical physics on both engines; speed is asserted by the benchmark
     # wrapper (E16_MIN_SPEEDUP), not here, so CLI sweeps stay noise-proof.
     for key in reference:
@@ -75,8 +66,8 @@ def _verify_e16(results) -> dict[str, Any]:
         if key == "engine":
             continue
         check(
-            reference[key] == indexed[key],
-            f"engines disagree on {key}: {reference[key]!r} != {indexed[key]!r}",
+            reference[key] == columnar[key],
+            f"engines disagree on {key}: {reference[key]!r} != {columnar[key]!r}",
         )
     return {"rounds": reference["rounds"], "edges": reference["edges"]}
 
@@ -85,7 +76,7 @@ register(
     Experiment(
         id="E16",
         title="simulator throughput on G(600, 0.05) two-spanner (seed 1)",
-        headline="rounds/sec of the indexed engine vs the seed reference engine",
+        headline="rounds/sec of the columnar engine vs the reference engine",
         targeted=True,
         columns=(
             ("engine", "engine", None),
@@ -98,7 +89,7 @@ register(
             ScenarioSpec.make(
                 "E16", engine, graph=("gnp", 600, 0.05, 7), engine=engine, run_seed=1
             )
-            for engine in ("reference", "indexed")
+            for engine in ("reference", "columnar")
         ],
         run_scenario=_run_e16,
         verify=_verify_e16,
@@ -125,7 +116,7 @@ def _run_e17(spec: ScenarioSpec) -> dict[str, Any]:
             graph, seed=spec.param("run_seed"), model=congest_model(n, enforce=False)
         )
     else:
-        engine = spec.engine or "indexed"
+        engine = spec.engine or DEFAULT_ENGINE
         result = run_clique_two_spanner(graph, seed=spec.param("run_seed"), engine=engine)
         check(
             result.rounds <= _C_LOG * math.log2(n),
@@ -140,7 +131,7 @@ def _run_e17(spec: ScenarioSpec) -> dict[str, Any]:
     return {
         "n": n,
         "m": graph.number_of_edges(),
-        "model": variant if variant == "congest" else f"clique ({spec.engine or 'indexed'})",
+        "model": variant if variant == "congest" else f"clique ({spec.engine or DEFAULT_ENGINE})",
         "instance": spec.param("instance"),
         "variant": variant,
         "rounds": result.rounds,
@@ -155,20 +146,20 @@ def _verify_e17(results) -> dict[str, Any]:
     for n, _, _ in _E17_INSTANCES:
         instance = f"n={n}"
         group = {r["variant"]: r for r in results if r["instance"] == instance}
-        indexed, reference = group["clique_indexed"], group["clique_reference"]
-        for key in indexed:
+        columnar, reference = group["clique_columnar"], group["clique_reference"]
+        for key in columnar:
             if key == "variant" or key == "model":
                 continue
             check(
-                indexed[key] == reference[key],
+                columnar[key] == reference[key],
                 f"{instance}: clique engines disagree on {key}",
             )
         # The whole point of the clique model: exponentially fewer rounds.
         check(
-            indexed["rounds"] < group["congest"]["rounds"],
+            columnar["rounds"] < group["congest"]["rounds"],
             f"{instance}: clique model not faster than CONGEST",
         )
-        summary[f"{instance}.clique_rounds"] = indexed["rounds"]
+        summary[f"{instance}.clique_rounds"] = columnar["rounds"]
         summary[f"{instance}.congest_rounds"] = group["congest"]["rounds"]
     return summary
 
@@ -200,116 +191,12 @@ register(
             )
             for n, p, graph_seed in _E17_INSTANCES
             for variant, engine in [
-                ("clique_indexed", "indexed"),
+                ("clique_columnar", "columnar"),
                 ("clique_reference", "reference"),
                 ("congest", None),
             ]
         ],
         run_scenario=_run_e17,
         verify=_verify_e17,
-    )
-)
-
-
-# --------------------------------------------------------------------------
-# E18 — batch-engine scale sweep: flood-max broadcast traffic at n >= 20000
-# --------------------------------------------------------------------------
-
-_E18_ROUNDS = 10
-_E18_SEED = 3
-_E18_GRAPHS = {
-    # name -> (family tuple); p chosen for average degree ~10, and the
-    # family's connect=True patch guarantees flood-max converges.
-    "n=20000": ("sparse_connected_gnp", 20000, 0.0005, 18),
-    "n=50000": ("sparse_connected_gnp", 50000, 0.0002, 19),
-}
-
-
-def _run_e18(spec: ScenarioSpec) -> dict[str, Any]:
-    graph = build_graph(spec.param("graph"))
-    n = graph.number_of_nodes()
-    engine = spec.engine or "indexed"
-    rounds = spec.param("rounds")
-    start = time.perf_counter()
-    result = run_flood_max(graph, rounds=rounds, seed=spec.param("run_seed"), engine=engine)
-    elapsed = time.perf_counter() - start
-    check(
-        result.converged,
-        f"{spec.name}: flood-max did not converge within {rounds} rounds",
-    )
-    check(
-        result.leader == n - 1,
-        f"{spec.name}: elected leader {result.leader!r}, expected the max label {n - 1}",
-    )
-    check(
-        result.rounds == rounds,
-        f"{spec.name}: used {result.rounds} rounds, the program budget is {rounds}",
-    )
-    messages = result.metrics.messages_sent
-    return {
-        "engine": engine,
-        "n": n,
-        "m": graph.number_of_edges(),
-        "rounds": result.rounds,
-        "leader": result.leader,
-        "metrics": result.metrics,
-        "timing": {
-            "elapsed_s": elapsed,
-            "messages_per_sec": messages / elapsed,
-        },
-    }
-
-
-def _verify_e18(results) -> dict[str, Any]:
-    batch20, indexed20, batch50 = results
-    # Identical physics for batch vs indexed at n=20000; the batch-vs-indexed
-    # throughput floor is asserted by the benchmark wrapper (E18_MIN_SPEEDUP),
-    # not here, so CLI sweeps stay noise-proof.
-    for key in batch20:
-        if key.startswith("timing.") or key == "engine":
-            continue
-        check(
-            batch20[key] == indexed20[key],
-            f"n=20000: engines disagree on {key}: {batch20[key]!r} != {indexed20[key]!r}",
-        )
-    check(batch50["n"] >= 20000, "the scale scenario must cover n >= 20000")
-    return {
-        "n=20000.messages": batch20["metrics.messages_sent"],
-        "n=50000.messages": batch50["metrics.messages_sent"],
-        "n=50000.leader": batch50["leader"],
-    }
-
-
-register(
-    Experiment(
-        id="E18",
-        title="batch-engine scale sweep: flood-max broadcast up to n=50000",
-        headline="struct-of-arrays batch engine vs indexed on pure-broadcast traffic",
-        columns=(
-            ("n", "n", None),
-            ("m", "m", None),
-            ("engine", "engine", None),
-            ("rounds", "rounds", None),
-            ("messages", "metrics.messages_sent", None),
-            ("seconds", "timing.elapsed_s", ".3f"),
-            ("msg/sec", "timing.messages_per_sec", ".0f"),
-        ),
-        scenarios=[
-            ScenarioSpec.make(
-                "E18",
-                f"{instance} {engine}",
-                engine=engine,
-                graph=_E18_GRAPHS[instance],
-                rounds=_E18_ROUNDS,
-                run_seed=_E18_SEED,
-            )
-            for instance, engine in [
-                ("n=20000", "batch"),
-                ("n=20000", "indexed"),
-                ("n=50000", "batch"),
-            ]
-        ],
-        run_scenario=_run_e18,
-        verify=_verify_e18,
     )
 )

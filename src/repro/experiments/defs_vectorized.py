@@ -3,7 +3,7 @@
 E23 pins the whole-round lowering layer (``repro.distributed.vectorize``):
 the columnar engine detects lowerable flood-max runs and executes them with
 zero per-node Python calls, and this tier proves the physics are unchanged.
-Two twin pairs at n = 20000 on the exact E18/E20 anchor graph — fixed-budget
+Two twin pairs at n = 20000 on the exact E20 anchor graph — fixed-budget
 and retransmitting flood-max, each run once lowered and once with
 ``vectorize=False`` (the stepped per-node path) — must agree bit-for-bit on
 every non-timing key.  The mega points then rerun the E20 scale sweep
@@ -42,7 +42,7 @@ _E23_SEED = 3
 
 #: scenario name -> (family tuple, workload, budget, lowered, streaming).
 #: ``workload`` is "fixed" (budget = round count) or "robust" (budget =
-#: patience).  The n=20000 twins reuse the E18/E20 anchor graph verbatim;
+#: patience).  The n=20000 twins reuse the E20 anchor graph verbatim;
 #: the mega points reuse the E20 CSR family tuples, so the graph memo in
 #: ``experiments.families`` shares one build between the tiers per worker.
 _E23_SCENARIOS: dict[str, tuple[tuple[Any, ...], str, int, bool, bool]] = {

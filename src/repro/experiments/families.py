@@ -62,7 +62,7 @@ FAMILIES: dict[str, Callable[..., Any]] = {
     # Same distribution as "barabasi_albert", different instances per seed.
     "barabasi_albert_csr": lambda n, m, seed: barabasi_albert_csr(n, m, seed=seed),
     # O(n + m) geometric-skip sampler, connectivity-patched: the only G(n, p)
-    # family usable at the E18 scale tier (n in the tens of thousands).
+    # family usable at the n=20000 anchor of E19/E20/E22/E23.
     "sparse_connected_gnp": lambda n, p, seed: sparse_gnp_graph(
         n, p, seed=seed, connect=True
     ),

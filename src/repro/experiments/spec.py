@@ -45,7 +45,7 @@ class ScenarioSpec:
     """One scenario: an experiment id, a unique name, and frozen parameters.
 
     Two knobs are first-class (non-``params``): ``engine`` — which simulator
-    engine (``"reference"`` / ``"indexed"`` / ``"batch"``) an engine-aware
+    engine (``"columnar"`` or the ``"reference"`` oracle) an engine-aware
     scenario runs on — and ``adversary`` — the canonical fault-policy
     string (e.g. ``"drop:0.05"``) an adversary-aware scenario resolves via
     :func:`repro.distributed.adversary.build_adversary`.  For both,

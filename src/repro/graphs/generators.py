@@ -174,7 +174,7 @@ def sparse_gnp_graph(
 
     With ``connect=True`` the components are afterwards chained by a random
     spanning path over component representatives, as in
-    :func:`connected_gnp_graph` — the E18 scale scenarios use this so that
+    :func:`connected_gnp_graph` — the n=20000 anchor scenarios use this so that
     flooding workloads provably converge.
     """
     if not 0.0 <= p <= 1.0:

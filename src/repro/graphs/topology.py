@@ -1,4 +1,4 @@
-"""Compiled CSR topology: the indexed execution core of the repo.
+"""Compiled CSR topology: the execution core of the columnar engine.
 
 A :class:`CompiledTopology` is an immutable, array-based snapshot of a
 :class:`~repro.graphs.graph.Graph` or :class:`~repro.graphs.digraph.DiGraph`:
@@ -108,7 +108,7 @@ class CompiledTopology:
 
         CSR rows keep the graph's insertion order; consumers that must
         observe neighbours in ascending index order — the columnar engine's
-        lazy inboxes replicate the indexed engine's inbox key order with
+        lazy inboxes replicate the reference engine's inbox key order with
         these — get the sorted rows materialised once per compiled view and
         shared across runs.
         """

@@ -1,8 +1,9 @@
 """Tests for the adversary layer: parity, semantics, counters, parsing.
 
-The load-bearing contract: all three engines produce bit-for-bit identical
-``RunResult``s *under the same adversary* across all four communication
-models; a ``None``/``NoAdversary`` adversary is byte-for-byte the fault-free
+The load-bearing contract: the reference oracle and the columnar engine,
+lowered and stepped, produce bit-for-bit identical ``RunResult``s *under
+the same adversary* across all four communication models; a
+``None``/``NoAdversary`` adversary is byte-for-byte the fault-free
 behaviour (golden dictionary shape included); fault counters live in
 ``Metrics.per_adversary`` and appear in ``as_dict()`` only when an
 adversary is active.
@@ -22,6 +23,7 @@ from repro.distributed import (
     CorruptAdversary,
     CrashAdversary,
     DropAdversary,
+    ENGINES,
     Metrics,
     NoAdversary,
     RoundBudgetAdversary,
@@ -50,9 +52,17 @@ ADVERSARIES = [
 ]
 
 
+#: run name -> (engine, vectorize): the parity matrix's three legs.
+PATHS = {
+    "columnar": ("columnar", True),
+    "stepped": ("columnar", False),
+    "reference": ("reference", True),
+}
+
+
 def _run_all_engines(graph, factory, model, adversary, seed=9, cut=None):
     return {
-        engine: Simulator(
+        name: Simulator(
             graph,
             factory,
             model=model,
@@ -60,13 +70,14 @@ def _run_all_engines(graph, factory, model, adversary, seed=9, cut=None):
             cut=cut,
             engine=engine,
             adversary=adversary,
+            vectorize=vectorize,
         ).run()
-        for engine in ("indexed", "batch", "reference")
+        for name, (engine, vectorize) in PATHS.items()
     }
 
 
 class TestEngineParityUnderFaults:
-    """indexed == batch == reference under the same adversary, all models."""
+    """lowered == stepped == reference under the same adversary, all models."""
 
     @pytest.mark.parametrize("model_factory", ALL_MODELS)
     @pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a.spec())
@@ -75,19 +86,20 @@ class TestEngineParityUnderFaults:
         runs = _run_all_engines(
             g, lambda v: FloodMaxProgram(v, 6), model_factory(40), adversary
         )
-        indexed, batch, reference = (
-            runs["indexed"],
-            runs["batch"],
+        lowered, stepped, reference = (
+            runs["columnar"],
+            runs["stepped"],
             runs["reference"],
         )
-        assert batch.outputs == indexed.outputs == reference.outputs
+        assert lowered.outputs == stepped.outputs == reference.outputs
         assert (
-            batch.metrics.as_dict()
-            == indexed.metrics.as_dict()
+            lowered.metrics.as_dict()
+            == stepped.metrics.as_dict()
             == reference.metrics.as_dict()
         )
-        assert batch.metrics.bits_per_round == indexed.metrics.bits_per_round
-        assert batch.completed is indexed.completed is reference.completed
+        assert lowered.metrics.bits_per_round == stepped.metrics.bits_per_round
+        assert stepped.metrics.bits_per_round == reference.metrics.bits_per_round
+        assert lowered.completed is stepped.completed is reference.completed
 
     @pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a.spec())
     def test_cut_accounting_identical_across_engines(self, adversary):
@@ -98,11 +110,11 @@ class TestEngineParityUnderFaults:
             adversary, cut=cut,
         )
         assert (
-            faulty["indexed"].metrics.as_dict()
-            == faulty["batch"].metrics.as_dict()
+            faulty["columnar"].metrics.as_dict()
+            == faulty["stepped"].metrics.as_dict()
             == faulty["reference"].metrics.as_dict()
         )
-        assert faulty["indexed"].metrics.cut_bits > 0
+        assert faulty["columnar"].metrics.cut_bits > 0
 
     def test_drops_charge_senders_in_full(self):
         # Faults act on delivery: the drop adversary destroys messages in
@@ -131,9 +143,14 @@ class TestEngineParityUnderFaults:
         g = gnp_random_graph(36, 0.18, seed=2)
         results = [
             run_robust_flood_max(
-                g, patience=5, seed=3, engine=engine, adversary=DropAdversary(0.15)
+                g,
+                patience=5,
+                seed=3,
+                engine=engine,
+                adversary=DropAdversary(0.15),
+                vectorize=vectorize,
             )
-            for engine in ("indexed", "batch", "reference")
+            for engine, vectorize in PATHS.values()
         ]
         assert results[0].node_outputs == results[1].node_outputs == results[2].node_outputs
         assert (
@@ -169,7 +186,7 @@ class TestEngineParityUnderFaults:
 class TestNoAdversaryIdentity:
     """None and NoAdversary are byte-for-byte the fault-free behaviour."""
 
-    @pytest.mark.parametrize("engine", ["indexed", "batch", "reference"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_metrics_dict_shape_unchanged(self, engine):
         g = gnp_random_graph(25, 0.2, seed=3)
         plain = run_program(
@@ -431,7 +448,7 @@ class TestAdversarySpecs:
             engine: run_clique_two_spanner(
                 g, seed=4, engine=engine, adversary=DropAdversary(0.1)
             )
-            for engine in ("indexed", "batch", "reference")
+            for engine in ENGINES
         }
-        assert runs["indexed"].edges == runs["batch"].edges == runs["reference"].edges
-        assert is_k_spanner(g, runs["indexed"].edges, 2)
+        assert runs["columnar"].edges == runs["reference"].edges
+        assert is_k_spanner(g, runs["columnar"].edges, 2)

@@ -27,6 +27,7 @@ from repro.core.clique_routing import (
     run_clique_routing,
     run_targeted_fanout,
 )
+from repro.distributed import ENGINES
 from repro.experiments import registry
 from repro.experiments.runner import run_experiments, strip_timing
 from repro.graphs import complete_graph, gnp_random_graph
@@ -87,7 +88,7 @@ def test_overflow_cap_raises_at_plan_time():
     assert schedule.num_batches == 1
 
 
-@pytest.mark.parametrize("engine", ["indexed", "batch", "columnar"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_routing_delivers_exactly_the_sent_multiset(engine):
     n = 9
     graph = complete_graph(n)
@@ -113,12 +114,11 @@ def test_routing_engines_agree_bit_for_bit():
     messages = {src: [((src + 2) % n, src * 100 + j) for j in range(10)] for src in range(n)}
     runs = {
         engine: run_clique_routing(graph, messages, engine=engine)
-        for engine in ("indexed", "batch", "columnar")
+        for engine in ENGINES
     }
-    base = runs["indexed"]
-    for engine in ("batch", "columnar"):
-        assert runs[engine].outputs == base.outputs
-        assert runs[engine].metrics.as_dict() == base.metrics.as_dict()
+    base = runs["reference"]
+    assert runs["columnar"].outputs == base.outputs
+    assert runs["columnar"].metrics.as_dict() == base.metrics.as_dict()
 
 
 def test_runtime_overflow_on_schedule_violation():
@@ -154,7 +154,7 @@ def test_runtime_overflow_on_schedule_violation():
 
 # ------------------------------------------------------------------- listing
 @pytest.mark.parametrize("mode", ["direct", "routed"])
-@pytest.mark.parametrize("engine", ["indexed", "batch", "columnar"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_listing_matches_brute_force(mode, engine):
     graph = gnp_random_graph(40, 0.3, seed=3)
     result = run_clique_listing(graph, mode=mode, engine=engine)
@@ -187,13 +187,12 @@ def test_fanout_checksum_agrees_across_engines():
     graph = gnp_random_graph(60, 0.2, seed=2)
     runs = {
         engine: run_targeted_fanout(graph, fanout=4, rounds=6, engine=engine)
-        for engine in ("indexed", "batch", "columnar")
+        for engine in ENGINES
     }
-    base = runs["indexed"]
+    base = runs["reference"]
     assert base.heard == base.metrics.messages_sent
-    for engine in ("batch", "columnar"):
-        assert runs[engine].checksum == base.checksum
-        assert runs[engine].metrics.as_dict() == base.metrics.as_dict()
+    assert runs["columnar"].checksum == base.checksum
+    assert runs["columnar"].metrics.as_dict() == base.metrics.as_dict()
 
 
 def test_e21_report_is_job_count_invariant():

@@ -28,7 +28,7 @@ class TestCliqueTwoSpanner:
 
     def test_engines_identical(self):
         g = gnp_random_graph(30, 0.3, seed=11)
-        a = run_clique_two_spanner(g, seed=5, engine="indexed")
+        a = run_clique_two_spanner(g, seed=5)
         b = run_clique_two_spanner(g, seed=5, engine="reference")
         assert a.edges == b.edges
         assert a.rounds == b.rounds

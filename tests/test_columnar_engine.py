@@ -1,12 +1,13 @@
-"""Differential, size-table and fallback tests for the columnar engine.
+"""Differential, admission, size-table and fallback tests for the columnar engine.
 
-The columnar engine ships under the same gate as the batch engine, tightened
-by PR scope: bit-for-bit identity with the indexed engine (outputs,
-``Metrics.as_dict()``, ``bits_per_round``) for broadcast-only programs across
-all four communication models *and* under the drop/crash/budget adversaries,
-including an n=20000 differential on the mega-scale workload itself; the
-payload size table must agree with ``estimate_bits`` on every payload shape;
-and the stdlib-``array`` kernels must produce identical results with NumPy
+The columnar engine (the default) ships under one gate: bit-for-bit
+identity with the ``reference`` oracle (outputs, ``Metrics.as_dict()``,
+``bits_per_round``) for broadcast programs across all four communication
+models *and* under the drop/crash/budget adversaries, lowered and stepped
+alike, including an n=20000 differential on the mega-scale workload itself;
+both engines admit exactly the same programs; the payload size table must
+agree with ``estimate_bits`` on every payload shape; and the
+stdlib-``array`` kernels must produce identical results with NumPy
 monkeypatched away.
 """
 
@@ -15,7 +16,9 @@ import pytest
 from repro.core import run_clique_two_spanner, run_flood_max
 from repro.core.flood_max import FloodMaxProgram
 from repro.distributed import (
+    DEFAULT_ENGINE,
     BandwidthExceededError,
+    BroadcastNodeProgram,
     ENGINES,
     FunctionProgram,
     MessageAdmissionError,
@@ -28,6 +31,8 @@ from repro.distributed import (
     run_program,
 )
 from repro.distributed import columnar as columnar_module
+from repro.distributed import targeted as targeted_module
+from repro.distributed import vectorize as vectorize_module
 from repro.distributed.adversary import build_adversary
 from repro.distributed.columnar import ColumnarInbox, have_numpy
 from repro.distributed.encoding import PayloadSizeTable, estimate_bits
@@ -77,6 +82,20 @@ class MappingConsumer(NodeProgram):
             ctx.broadcast((self.v, "tag"))
 
 
+class EchoOnce(BroadcastNodeProgram):
+    """Broadcast one payload at start, record the senders heard, halt."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def on_start(self, ctx):
+        ctx.broadcast(self.payload)
+
+    def on_broadcast_round(self, ctx, heard):
+        ctx.set_output(sorted(heard, key=repr))
+        ctx.halt()
+
+
 class BigLabelFloodMax(NodeProgram):
     """Flood-max over labels far above int64: the reduceat overflow fallback."""
 
@@ -106,10 +125,19 @@ class BigLabelFloodMax(NodeProgram):
             ctx.broadcast(best)
 
 
-def _run(graph, factory, model, engine, seed=1, cut=None, adversary=None):
+def _run(
+    graph, factory, model, engine, seed=1, cut=None, adversary=None, vectorize=True
+):
     adv = build_adversary(adversary) if adversary else None
     return Simulator(
-        graph, factory, model=model, seed=seed, cut=cut, engine=engine, adversary=adv
+        graph,
+        factory,
+        model=model,
+        seed=seed,
+        cut=cut,
+        engine=engine,
+        adversary=adv,
+        vectorize=vectorize,
     ).run()
 
 
@@ -122,29 +150,37 @@ def _assert_identical(a, b):
 
 
 class TestColumnarDifferential:
-    """Bit-for-bit identity with the indexed oracle, all models, all faults."""
+    """Bit-for-bit identity with the reference oracle, all models, all faults."""
 
     @pytest.mark.parametrize("model_factory", ALL_MODELS)
     def test_flood_max_identical_across_engines(self, model_factory):
+        # Flood-max lowers by default, so the stepped twin pins the third
+        # leg of the parity matrix: reference == stepped == lowered.
         g = gnp_random_graph(40, 0.15, seed=5)
-        runs = {
-            engine: _run(
-                g, lambda v: FloodMaxProgram(v, 5), model_factory(40), engine, seed=9
+
+        def run(engine, vectorize=True):
+            return _run(
+                g, lambda v: FloodMaxProgram(v, 5), model_factory(40), engine,
+                seed=9, vectorize=vectorize,
             )
-            for engine in ("indexed", "columnar", "batch", "reference")
-        }
-        _assert_identical(runs["columnar"], runs["indexed"])
-        _assert_identical(runs["columnar"], runs["batch"])
-        _assert_identical(runs["columnar"], runs["reference"])
+
+        reference = run("reference")
+        _assert_identical(run("columnar"), reference)
+        _assert_identical(run("columnar", vectorize=False), reference)
 
     @pytest.mark.parametrize("model_factory", ALL_MODELS)
-    def test_mapping_consumer_identical_across_engines(self, model_factory):
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda v: MappingConsumer(v), lambda v: EchoOnce(("x", 7))],
+        ids=["mapping-consumer", "broadcast-program"],
+    )
+    def test_inbox_readers_identical_across_engines(self, model_factory, factory):
         g = gnp_random_graph(25, 0.3, seed=2)
         runs = {
-            engine: _run(g, lambda v: MappingConsumer(v), model_factory(25), engine)
-            for engine in ("indexed", "columnar")
+            engine: _run(g, factory, model_factory(25), engine)
+            for engine in ENGINES
         }
-        _assert_identical(runs["columnar"], runs["indexed"])
+        _assert_identical(runs["columnar"], runs["reference"])
 
     @pytest.mark.parametrize("model_factory", ALL_MODELS)
     @pytest.mark.parametrize("adversary", ADVERSARIES)
@@ -162,9 +198,9 @@ class TestColumnarDifferential:
                 seed=4,
                 adversary=adversary,
             )
-            for engine in ("indexed", "columnar")
+            for engine in ENGINES
         }
-        _assert_identical(runs["columnar"], runs["indexed"])
+        _assert_identical(runs["columnar"], runs["reference"])
 
     def test_cut_accounting_identical(self):
         g = gnp_random_graph(30, 0.25, seed=4)
@@ -177,10 +213,10 @@ class TestColumnarDifferential:
                 engine,
                 cut=cut,
             )
-            for engine in ("indexed", "columnar")
+            for engine in ENGINES
         }
-        assert runs["columnar"].metrics.cut_bits == runs["indexed"].metrics.cut_bits > 0
-        _assert_identical(runs["columnar"], runs["indexed"])
+        assert runs["columnar"].metrics.cut_bits == runs["reference"].metrics.cut_bits > 0
+        _assert_identical(runs["columnar"], runs["reference"])
 
     def test_violation_counting_identical(self):
         big = tuple(range(500))
@@ -198,10 +234,10 @@ class TestColumnarDifferential:
                 congest_model(12, enforce=False),
                 engine,
             )
-            for engine in ("indexed", "columnar")
+            for engine in ENGINES
         }
         assert runs["columnar"].metrics.bandwidth_violations > 0
-        _assert_identical(runs["columnar"], runs["indexed"])
+        _assert_identical(runs["columnar"], runs["reference"])
 
     def test_mixed_payload_classes_identical(self):
         # Even vertices broadcast ints, odd ones tuples: the round is not
@@ -221,9 +257,9 @@ class TestColumnarDifferential:
         g = gnp_random_graph(24, 0.3, seed=3)
         runs = {
             engine: _run(g, lambda v: Mixed(v), local_model(24), engine)
-            for engine in ("indexed", "columnar")
+            for engine in ENGINES
         }
-        _assert_identical(runs["columnar"], runs["indexed"])
+        _assert_identical(runs["columnar"], runs["reference"])
 
     def test_big_label_overflow_falls_back_identically(self):
         # Labels above 2^63 break the int64 lowering of the reduceat kernel;
@@ -234,19 +270,19 @@ class TestColumnarDifferential:
             engine: _run(
                 g, lambda v: BigLabelFloodMax(v, 4), broadcast_congest_model(20), engine
             )
-            for engine in ("indexed", "columnar")
+            for engine in ENGINES
         }
-        _assert_identical(runs["columnar"], runs["indexed"])
+        _assert_identical(runs["columnar"], runs["reference"])
         leader = 19 + BigLabelFloodMax.OFFSET
         assert set(runs["columnar"].outputs.values()) == {leader}
 
     def test_clique_spanner_runs_under_columnar(self):
         g = gnp_random_graph(48, 0.2, seed=3)
         columnar = run_clique_two_spanner(g, seed=2, engine="columnar")
-        indexed = run_clique_two_spanner(g, seed=2, engine="indexed")
-        assert columnar.edges == indexed.edges
-        assert columnar.rounds == indexed.rounds
-        assert columnar.metrics.as_dict() == indexed.metrics.as_dict()
+        reference = run_clique_two_spanner(g, seed=2, engine="reference")
+        assert columnar.edges == reference.edges
+        assert columnar.rounds == reference.rounds
+        assert columnar.metrics.as_dict() == reference.metrics.as_dict()
 
     def test_early_halters_stop_receiving_but_traffic_is_counted(self):
         class Impatient(NodeProgram):
@@ -266,11 +302,12 @@ class TestColumnarDifferential:
         g = star_graph(6)
         runs = {
             engine: _run(g, lambda v: Impatient(v), local_model(7), engine, seed=0)
-            for engine in ("indexed", "columnar")
+            for engine in ENGINES
         }
-        _assert_identical(runs["columnar"], runs["indexed"])
+        _assert_identical(runs["columnar"], runs["reference"])
 
-    def test_degree_zero_broadcast_is_a_no_op(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_degree_zero_broadcast_is_a_no_op(self, engine):
         g = Graph()
         g.add_node("lonely")
 
@@ -283,7 +320,7 @@ class TestColumnarDifferential:
             g,
             lambda v: FunctionProgram(on_start, lambda ctx, inbox: None),
             model=broadcast_congest_model(1),
-            engine="columnar",
+            engine=engine,
         )
         assert result.metrics.messages_sent == 0
         assert result.metrics.as_dict().get("broadcast_payloads", 0) == 0
@@ -296,7 +333,7 @@ def scale_graph():
 
 
 class TestScaleDifferential:
-    """The acceptance gate: columnar == indexed at n=20000, faults included.
+    """The acceptance gate: columnar == reference at n=20000, faults included.
 
     The congested-clique overlay is excluded *by physics*, not by engine: at
     n=20000 it materialises ~4*10^8 overlay arcs, infeasible for every
@@ -320,9 +357,9 @@ class TestScaleDifferential:
                 engine,
                 seed=3,
             )
-            for engine in ("indexed", "columnar")
+            for engine in ENGINES
         }
-        _assert_identical(runs["columnar"], runs["indexed"])
+        _assert_identical(runs["columnar"], runs["reference"])
 
     @pytest.mark.parametrize(
         "adversary", ["drop:0.05", "crash:40@1,17000@2,9999@3", "budget:24"]
@@ -337,9 +374,9 @@ class TestScaleDifferential:
                 seed=3,
                 adversary=adversary,
             )
-            for engine in ("indexed", "columnar")
+            for engine in ENGINES
         }
-        _assert_identical(runs["columnar"], runs["indexed"])
+        _assert_identical(runs["columnar"], runs["reference"])
 
 
 class Slotted:
@@ -415,11 +452,36 @@ class TestNumpyAbsentFallback:
             g, lambda v: FloodMaxProgram(v, 5), broadcast_congest_model(35),
             "columnar", seed=2,
         )
-        indexed = _run(
+        reference = _run(
             g, lambda v: FloodMaxProgram(v, 5), broadcast_congest_model(35),
-            "indexed", seed=2,
+            "reference", seed=2,
         )
-        _assert_identical(fallback, indexed)
+        _assert_identical(fallback, reference)
+
+    @pytest.mark.parametrize("vectorize", [True, False], ids=["lowered", "stepped"])
+    @pytest.mark.parametrize("model_factory", ALL_MODELS)
+    @pytest.mark.parametrize("adversary", [None] + ADVERSARIES, ids=lambda a: a or "fault-free")
+    def test_parity_matrix_without_numpy(
+        self, adversary, model_factory, vectorize, monkeypatch
+    ):
+        # The whole model x fault matrix on the stdlib kernels, both legs
+        # of the columnar engine against the oracle.
+        for module in (columnar_module, targeted_module, vectorize_module):
+            monkeypatch.setattr(module, "_np", None)
+        g = gnp_random_graph(30, 0.2, seed=6)
+        runs = {
+            engine: _run(
+                g,
+                lambda v: FloodMaxProgram(v, 6),
+                model_factory(30),
+                engine,
+                seed=4,
+                adversary=adversary,
+                vectorize=vectorize,
+            )
+            for engine in ENGINES
+        }
+        _assert_identical(runs["columnar"], runs["reference"])
 
     def test_mapping_consumer_and_adversary_without_numpy(self, monkeypatch):
         monkeypatch.setattr(columnar_module, "_np", None)
@@ -429,11 +491,11 @@ class TestNumpyAbsentFallback:
                 g, lambda v: MappingConsumer(v), local_model(25), "columnar",
                 adversary=adversary,
             )
-            indexed = _run(
-                g, lambda v: MappingConsumer(v), local_model(25), "indexed",
+            reference = _run(
+                g, lambda v: MappingConsumer(v), local_model(25), "reference",
                 adversary=adversary,
             )
-            _assert_identical(fallback, indexed)
+            _assert_identical(fallback, reference)
 
     def test_cut_and_violations_without_numpy(self, monkeypatch):
         monkeypatch.setattr(columnar_module, "_np", None)
@@ -443,20 +505,30 @@ class TestNumpyAbsentFallback:
                 g, lambda v: FloodMaxProgram(v, 4), congest_model(30, enforce=False),
                 engine, cut=set(range(15)),
             )
-            for engine in ("indexed", "columnar")
+            for engine in ENGINES
         }
-        _assert_identical(runs["columnar"], runs["indexed"])
+        _assert_identical(runs["columnar"], runs["reference"])
 
 
 class TestColumnarAdmission:
-    """Admission is the model's job: only semantic rejections remain."""
+    """Both engines admit exactly the same programs; only semantic rules remain."""
 
     def test_registered_engine(self):
-        assert ENGINES == ("indexed", "batch", "columnar", "reference")
+        assert ENGINES == ("columnar", "reference")
+        assert DEFAULT_ENGINE == "columnar"
 
-    def test_targeted_send_accepted_and_matches_indexed(self):
-        # Since the targeted fast path the columnar engine admits targeted
-        # sends on every targeted-capable model, matching the oracle.
+    @pytest.mark.parametrize("engine", ["indexed", "batch", "bogus"])
+    def test_unknown_engine_rejected_naming_the_remaining_two(self, engine):
+        with pytest.raises(ValueError, match="unknown engine") as info:
+            Simulator(path_graph(3), lambda v: FloodMaxProgram(v, 1), engine=engine)
+        assert "'columnar', 'reference'" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "model_factory", [congest_model, congested_clique_model], ids=["congest", "clique"]
+    )
+    def test_targeted_send_accepted_and_matches_reference(self, model_factory):
+        # Targeted sends take the targeted fast path on every model that
+        # admits them (overlay models included), matching the oracle.
         def on_start(ctx):
             ctx.send(min(ctx.neighbors), ctx.node_id + 1)
             ctx.set_output(ctx.node_id)
@@ -466,15 +538,16 @@ class TestColumnarAdmission:
             engine: run_program(
                 path_graph(4),
                 lambda v: FunctionProgram(on_start, lambda ctx, inbox: None),
-                model=congest_model(4),
+                model=model_factory(4),
                 engine=engine,
             )
-            for engine in ("indexed", "columnar")
+            for engine in ENGINES
         }
-        assert runs["columnar"].outputs == runs["indexed"].outputs
-        assert runs["columnar"].metrics.as_dict() == runs["indexed"].metrics.as_dict()
+        assert runs["columnar"].outputs == runs["reference"].outputs
+        assert runs["columnar"].metrics.as_dict() == runs["reference"].metrics.as_dict()
 
-    def test_broadcast_only_model_rejects_targeted_send_naming_model(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_broadcast_only_model_rejects_targeted_send_naming_model(self, engine):
         def on_start(ctx):
             ctx.send(next(iter(ctx.neighbors)), 1)
 
@@ -483,23 +556,27 @@ class TestColumnarAdmission:
                 path_graph(4),
                 lambda v: FunctionProgram(on_start, lambda ctx, inbox: None),
                 model=broadcast_congest_model(4),
-                engine="columnar",
+                engine=engine,
             )
 
-    def test_second_broadcast_per_round_rejected(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("model_factory", [local_model, congest_model], ids=["local", "congest"])
+    def test_second_broadcast_per_round_rejected(self, model_factory, engine):
         def on_start(ctx):
             ctx.broadcast(1)
             ctx.broadcast(2)
 
-        with pytest.raises(MessageAdmissionError, match="one"):
+        with pytest.raises(MessageAdmissionError, match="one broadcast per node per round"):
             run_program(
                 path_graph(4),
                 lambda v: FunctionProgram(on_start, lambda ctx, inbox: None),
-                model=congest_model(4),
-                engine="columnar",
+                model=model_factory(4),
+                engine=engine,
             )
 
-    def test_enforced_bandwidth_violation_raises_like_batch(self):
+    def test_enforced_bandwidth_violation_raises_like_reference(self):
+        # Node 0 of a path has a single link, so both engines name the same
+        # violating link; the message text is part of the contract.
         big = tuple(range(10_000))
 
         def on_start(ctx):
@@ -515,7 +592,33 @@ class TestColumnarAdmission:
                 )
             return str(info.value)
 
-        assert attempt("columnar") == attempt("batch")
+        message = attempt("columnar")
+        assert message.startswith("message(s) on link 0->1 use ")
+        assert message == attempt("reference")
+
+
+class TestFloodMax:
+    """The flood-max workload's own contract, on both engines."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_converges_to_max_label(self, engine):
+        g = gnp_random_graph(50, 0.2, seed=11)
+        result = run_flood_max(g, rounds=6, seed=1, engine=engine)
+        assert result.converged
+        assert result.leader == 49
+        assert result.rounds == 6
+
+    def test_insufficient_rounds_do_not_converge(self):
+        g = path_graph(30)  # diameter 29 >> 2 rounds
+        result = run_flood_max(g, rounds=2, seed=1)
+        assert not result.converged
+        assert result.leader is None
+
+    def test_zero_rounds_outputs_own_label(self):
+        g = path_graph(3)
+        result = run_flood_max(g, rounds=0, seed=1)
+        assert result.node_outputs == {0: 0, 1: 1, 2: 2}
+        assert result.metrics.messages_sent == 0
 
 
 class TestStreamingMetrics:

@@ -32,8 +32,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRegistry:
-    def test_all_twenty_three_experiments_registered(self):
-        assert experiment_ids() == [f"E{i:02d}" for i in range(1, 24)]
+    def test_all_twenty_two_experiments_registered(self):
+        # E18 (the batch-engine scale sweep) was retired with its engine.
+        assert experiment_ids() == [f"E{i:02d}" for i in range(1, 24) if i != 18]
 
     def test_every_experiment_has_scenarios_and_columns(self):
         for identifier in experiment_ids():
@@ -96,11 +97,11 @@ class TestEngineSelection:
     """The first-class ``engine`` field and its override plumbing."""
 
     def test_engine_round_trips(self):
-        spec = ScenarioSpec.make("EXX", "s", engine="batch", seed=1)
-        assert spec.engine == "batch"
-        assert spec.as_dict()["engine"] == "batch"
+        spec = ScenarioSpec.make("EXX", "s", engine="reference", seed=1)
+        assert spec.engine == "reference"
+        assert spec.as_dict()["engine"] == "reference"
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec and clone.engine == "batch"
+        assert clone == spec and clone.engine == "reference"
         assert clone.spec_hash() == spec.spec_hash()
 
     def test_default_engine_omitted_from_canonical_json(self):
@@ -112,25 +113,25 @@ class TestEngineSelection:
 
     def test_engine_changes_spec_hash(self):
         base = ScenarioSpec.make("EXX", "s", seed=1)
-        assert base.with_engine("batch").spec_hash() != base.spec_hash()
-        assert base.with_engine("batch") != base.with_engine("indexed")
+        assert base.with_engine("reference").spec_hash() != base.spec_hash()
+        assert base.with_engine("reference") != base.with_engine("columnar")
         assert base.with_engine(None) == base
 
     def test_runner_engine_override_reaches_report(self):
-        report = run_experiments(["E17"], jobs=1, engine="batch")
+        report = run_experiments(["E17"], jobs=1, engine="reference")
         scenarios = report["experiments"][0]["scenarios"]
         assert scenarios, "E17 has scenarios"
         for scenario in scenarios:
-            assert scenario["spec"]["engine"] == "batch"
+            assert scenario["spec"]["engine"] == "reference"
 
-    def test_batch_override_on_targeted_send_experiment_matches_indexed(self):
-        # E16's two-spanner sends targeted messages; since the targeted
-        # fast path the batch engine runs it bit-for-bit like the oracle.
-        batch = run_experiments(["E16"], jobs=1, engine="batch")
-        indexed = run_experiments(["E16"], jobs=1, engine="indexed")
+    def test_reference_override_on_targeted_send_experiment_matches_columnar(self):
+        # E16's two-spanner sends targeted messages; the columnar engine's
+        # targeted fast path runs it bit-for-bit like the oracle.
+        reference = run_experiments(["E16"], jobs=1, engine="reference")
+        columnar = run_experiments(["E16"], jobs=1, engine="columnar")
         for b, i in zip(
-            batch["experiments"][0]["scenarios"],
-            indexed["experiments"][0]["scenarios"],
+            reference["experiments"][0]["scenarios"],
+            columnar["experiments"][0]["scenarios"],
         ):
             b_result = {
                 k: v for k, v in b["result"].items()
@@ -142,9 +143,9 @@ class TestEngineSelection:
             }
             assert b_result == i_result
 
-    def test_e18_specs_carry_engines(self):
-        engines = [spec.engine for spec in get_experiment("E18").scenarios]
-        assert engines == ["batch", "indexed", "batch"]
+    def test_e16_specs_carry_engines(self):
+        engines = [spec.engine for spec in get_experiment("E16").scenarios]
+        assert engines == ["reference", "columnar"]
 
 
 class TestAdversarySelection:
@@ -335,7 +336,7 @@ class TestCLI:
         listing = json.loads(proc.stdout)
         assert listing["schema"] == SCHEMA
         by_id = {entry["id"]: entry for entry in listing["experiments"]}
-        assert sorted(by_id) == [f"E{i:02d}" for i in range(1, 24)]
+        assert sorted(by_id) == [f"E{i:02d}" for i in range(1, 24) if i != 18]
         e19 = by_id["E19"]
         assert e19["scenario_count"] == len(e19["scenarios"]) == 9
         for scenario in e19["scenarios"]:
@@ -357,10 +358,10 @@ class TestCLI:
         for entry in by_id.values():
             assert "engines" in entry and "max_n" in entry
             assert entry["engines"] == sorted(entry["engines"])
-        assert by_id["E20"]["engines"] == ["batch", "columnar"]
+        assert by_id["E20"]["engines"] == ["columnar"]
         assert by_id["E20"]["max_n"] == 1_000_000
-        assert by_id["E18"]["engines"] == ["batch", "indexed"]
-        assert by_id["E18"]["max_n"] == 50_000
+        assert by_id["E21"]["engines"] == ["columnar", "reference"]
+        assert "E18" not in by_id
         # Experiments whose specs carry no size stay discoverable as None.
         assert by_id["E10"]["max_n"] is None
 
@@ -376,11 +377,9 @@ class TestCLI:
             # admission-legal workload; the map stays explicit so tooling
             # never hard-codes that.
             assert entry["engine_support"] == {
-                engine: True
-                for engine in ("indexed", "batch", "columnar", "reference")
+                engine: True for engine in ("columnar", "reference")
             }
         assert by_id["E21"]["targeted"] is True
-        assert by_id["E18"]["targeted"] is False
         assert by_id["E20"]["targeted"] is False
 
     def test_run_writes_json(self, tmp_path):
@@ -395,19 +394,20 @@ class TestCLI:
         proc = self._run("run")
         assert proc.returncode != 0
 
-    def test_run_engine_batch_works(self, tmp_path):
+    def test_run_engine_reference_works(self, tmp_path):
         out = tmp_path / "report.json"
         proc = self._run(
-            "run", "E17", "--engine", "batch", "--jobs", "1",
+            "run", "E17", "--engine", "reference", "--jobs", "1",
             "--json", str(out), "--no-tables", "--strip-timing",
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(out.read_text())
         for scenario in report["experiments"][0]["scenarios"]:
-            assert scenario["spec"]["engine"] == "batch"
+            assert scenario["spec"]["engine"] == "reference"
 
-    def test_run_engine_rejects_unknown(self):
-        proc = self._run("run", "E17", "--engine", "warp")
+    @pytest.mark.parametrize("engine", ["warp", "indexed", "batch"])
+    def test_run_engine_rejects_unknown(self, engine):
+        proc = self._run("run", "E17", "--engine", engine)
         assert proc.returncode != 0
         assert "invalid choice" in proc.stderr
 
@@ -430,20 +430,22 @@ class TestCLI:
     def test_run_scenario_filter_skips_verify_and_records_filter(self, tmp_path):
         out = tmp_path / "report.json"
         proc = self._run(
-            "run", "E18", "--scenario", "n=20000", "--jobs", "1",
+            "run", "E17", "--scenario", "n=48", "--jobs", "1",
             "--json", str(out), "--no-tables", "--strip-timing",
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(out.read_text())
-        assert report["scenario_filter"] == "n=20000"
+        assert report["scenario_filter"] == "n=48"
         entry = report["experiments"][0]
         names = [scenario["spec"]["name"] for scenario in entry["scenarios"]]
-        assert names == ["n=20000 batch", "n=20000 indexed"]
+        assert names == [
+            "n=48 clique_columnar", "n=48 clique_reference", "n=48 congest",
+        ]
         # verify hooks are written against complete result lists: skipped.
         assert entry["summary"] == {}
 
     def test_run_scenario_filter_rejects_no_match(self):
-        proc = self._run("run", "E18", "--scenario", "n=77777")
+        proc = self._run("run", "E17", "--scenario", "n=77777")
         assert proc.returncode == 2
         assert "matches no scenario" in proc.stderr
 
@@ -474,46 +476,29 @@ class TestE20Registration:
     def test_scenarios_and_anchor(self):
         e20 = get_experiment("E20")
         names = [spec.name for spec in e20.scenarios]
-        assert names == [
-            "n=20000 columnar", "n=20000 batch",
-            "n=200000", "n=500000", "n=1000000",
-        ]
-        engines = {spec.name: spec.engine for spec in e20.scenarios}
-        assert engines["n=20000 batch"] == "batch"
-        assert all(
-            engine == "columnar"
-            for name, engine in engines.items()
-            if name != "n=20000 batch"
-        )
-        # The twins anchor E20 to E18's exact differential graph.
-        e18_graph = next(
-            spec.param("graph")
-            for spec in get_experiment("E18").scenarios
-            if spec.name == "n=20000 batch"
-        )
-        for name in ("n=20000 columnar", "n=20000 batch"):
-            spec = next(s for s in e20.scenarios if s.name == name)
-            assert spec.param("graph") == e18_graph
+        assert names == ["n=20000 columnar", "n=200000", "n=500000", "n=1000000"]
+        assert {spec.engine for spec in e20.scenarios} == {"columnar"}
+        # The anchor is the shared n=20000 instance of the substrate benches.
+        anchor = next(s for s in e20.scenarios if s.name == "n=20000 columnar")
+        assert anchor.param("graph") == ("sparse_connected_gnp", 20000, 0.0005, 18)
         # Mega points stream their metrics (bounded bits_per_round history).
         for name in ("n=200000", "n=500000", "n=1000000"):
             spec = next(s for s in e20.scenarios if s.name == name)
             assert spec.param("streaming") is True
             assert spec.param("graph")[0] == "sparse_gnp_csr"
 
-    def test_twin_scenarios_run_and_agree(self):
-        # The two n=20000 anchors plus the cross-engine verify — the only
-        # E20 slice cheap enough for tier-1.
+    def test_anchor_scenario_runs_and_checks_the_flood(self):
+        # The n=20000 anchor — the only E20 slice cheap enough for tier-1 —
+        # carries the flood-max checks: converged on the max label within
+        # the round budget, every vertex broadcasting every round.
         report = run_experiments(["E20"], jobs=1, scenario_filter="n=20000 ")
         entry = report["experiments"][0]
         results = {
             scenario["spec"]["name"]: scenario["result"]
             for scenario in entry["scenarios"]
         }
-        assert set(results) == {"n=20000 columnar", "n=20000 batch"}
-        columnar, batch = results["n=20000 columnar"], results["n=20000 batch"]
-        for key in columnar:
-            if key.startswith("timing.") or key in ("engine", "scenario"):
-                continue
-            assert columnar[key] == batch[key], key
+        assert set(results) == {"n=20000 columnar"}
+        columnar = results["n=20000 columnar"]
         assert columnar["leader"] == 19999
+        assert columnar["rounds"] == 10
         assert columnar["metrics.messages_sent"] == 10 * 2 * columnar["m"]

@@ -9,6 +9,7 @@ from repro.distributed import (
     CongestedCliqueModel,
     FunctionProgram,
     LocalModel,
+    ENGINES,
     MessageAdmissionError,
     Metrics,
     Model,
@@ -102,7 +103,7 @@ class EchoOnce(NodeProgram):
 
 
 class TestBroadcastAdmission:
-    @pytest.mark.parametrize("engine", ["indexed", "reference"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_targeted_send_rejected(self, engine):
         def on_start(ctx):
             ctx.send(next(iter(ctx.neighbors)), 1)
@@ -115,7 +116,7 @@ class TestBroadcastAdmission:
                 engine=engine,
             )
 
-    @pytest.mark.parametrize("engine", ["indexed", "reference"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_second_broadcast_in_round_rejected(self, engine):
         def on_start(ctx):
             ctx.broadcast(1)
@@ -129,8 +130,11 @@ class TestBroadcastAdmission:
                 engine=engine,
             )
 
-    @pytest.mark.parametrize("engine", ["indexed", "reference"])
-    def test_double_broadcast_rejected_even_with_no_neighbors(self, engine):
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "model_factory", [broadcast_congest_model, local_model], ids=["bcongest", "local"]
+    )
+    def test_double_broadcast_rejected_even_with_no_neighbors(self, model_factory, engine):
         from repro.graphs import Graph
 
         g = Graph()
@@ -140,11 +144,13 @@ class TestBroadcastAdmission:
             ctx.broadcast(1)  # queues nothing (degree 0) ...
             ctx.broadcast(2)  # ... but still violates one-per-round
 
+        # One broadcast per node per round is a rule of every model, so the
+        # oracle and the default engine agree even where sends are free.
         with pytest.raises(MessageAdmissionError):
             run_program(
                 g,
                 lambda v: FunctionProgram(on_start, lambda ctx, inbox: None),
-                model=broadcast_congest_model(1),
+                model=model_factory(1),
                 engine=engine,
             )
 
@@ -198,12 +204,12 @@ class TestBroadcastAdmission:
                 seed=1,
                 engine=engine,
             )
-            for engine in ("indexed", "reference")
+            for engine in ENGINES
         }
         for run in runs.values():
             assert run.metrics.per_model["broadcast_payloads"] == 20
             assert run.metrics.as_dict()["broadcast_payloads"] == 20
-        assert runs["indexed"].metrics.as_dict() == runs["reference"].metrics.as_dict()
+        assert runs["columnar"].metrics.as_dict() == runs["reference"].metrics.as_dict()
 
     def test_counter_preseeded_even_when_silent(self):
         def on_start(ctx):
@@ -219,7 +225,7 @@ class TestBroadcastAdmission:
 
 
 class TestCongestedClique:
-    @pytest.mark.parametrize("engine", ["indexed", "reference"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_all_pairs_reachable_and_graph_neighbors_exposed(self, engine):
         g = path_graph(5)  # sparse input graph, complete communication graph
 
@@ -248,13 +254,13 @@ class TestCongestedClique:
                 seed=0,
                 engine=engine,
             )
-            for engine in ("indexed", "reference")
+            for engine in ENGINES
         }
         for run in runs.values():
             metrics = run.metrics.as_dict()
             assert metrics["messages_sent"] == 30
             assert metrics["virtual_link_messages"] == 30 - 10
-        assert runs["indexed"].metrics.as_dict() == runs["reference"].metrics.as_dict()
+        assert runs["columnar"].metrics.as_dict() == runs["reference"].metrics.as_dict()
 
     def test_local_congest_have_no_per_model_keys(self):
         # The golden-run contract: legacy models keep the legacy dict shape.
@@ -308,17 +314,17 @@ class TestEnforcementAcrossModels:
                 seed=3,
                 engine=engine,
             )
-            for engine in ("indexed", "reference")
+            for engine in ENGINES
         }
-        assert runs["indexed"].metrics.bandwidth_violations > 0
+        assert runs["columnar"].metrics.bandwidth_violations > 0
         assert (
-            runs["indexed"].metrics.bandwidth_violations
+            runs["columnar"].metrics.bandwidth_violations
             == runs["reference"].metrics.bandwidth_violations
         )
-        assert runs["indexed"].metrics.as_dict() == runs["reference"].metrics.as_dict()
+        assert runs["columnar"].metrics.as_dict() == runs["reference"].metrics.as_dict()
 
     def test_local_never_violates(self):
-        for engine in ("indexed", "reference"):
+        for engine in ENGINES:
             result = run_program(
                 path_graph(4), self._factory(), model=local_model(4), engine=engine
             )
@@ -327,7 +333,7 @@ class TestEnforcementAcrossModels:
     @pytest.mark.parametrize(
         "factory", [congest_model, broadcast_congest_model, congested_clique_model]
     )
-    @pytest.mark.parametrize("engine", ["indexed", "reference"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_enforced_violation_raises(self, factory, engine):
         from repro.distributed import BandwidthExceededError
 
@@ -350,7 +356,7 @@ class TestMetricsRoundZero:
         m.record_message(3, crosses_cut=False)
         assert m.bits_per_round == [5, 3]
 
-    @pytest.mark.parametrize("engine", ["indexed", "reference"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_bits_per_round_totals_match_bits_sent(self, engine):
         class Chatty(NodeProgram):
             def on_start(self, ctx):

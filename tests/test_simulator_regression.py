@@ -1,11 +1,11 @@
-"""Golden-output regression tests for the indexed execution core.
+"""Golden-output regression tests for the simulator's default engine.
 
 ``tests/data/golden_runs.json`` was captured by running the *seed* (pre-CSR)
 simulator on fixed-seed G(n, p) instances.  The rebuilt engine must reproduce
 every output edge set, round count, iteration count and metric counter
 bit-for-bit; these tests pin that contract so future engine work cannot
 silently change results.  A differential test additionally checks the
-``indexed`` engine against the retained ``reference`` engine on fresh
+default engine against the retained ``reference`` engine on fresh
 workloads.
 
 One deliberate re-capture: when ``estimate_bits`` learned to encode
@@ -124,14 +124,12 @@ class FloodMax(NodeProgram):
 
 
 class TestEngineEquivalence:
-    """indexed vs reference engine on identical inputs."""
+    """Default engine vs reference engine on identical inputs."""
 
     def _run_both(self, graph, factory, **kwargs):
-        runs = {}
-        for engine in ("indexed", "reference"):
-            sim = Simulator(graph, factory, engine=engine, **kwargs)
-            runs[engine] = sim.run()
-        return runs["indexed"], runs["reference"]
+        new = Simulator(graph, factory, **kwargs).run()
+        ref = Simulator(graph, factory, engine="reference", **kwargs).run()
+        return new, ref
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_flood_max(self, seed):

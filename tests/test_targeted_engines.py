@@ -1,13 +1,14 @@
-"""Differential and unit tests for the targeted-send fast path (PR 7).
+"""Differential and unit tests for the columnar engine's targeted-send fast path.
 
-The contract under test is the tentpole's: the ``batch`` and ``columnar``
-engines carry ``ctx.send`` traffic bit-for-bit identically to the indexed
-oracle — outputs, ``Metrics.as_dict()`` (hence per-round bit tallies) and
-completion — across all four communication models, for pure-targeted and
-mixed targeted/broadcast rounds, under every adversary class (whose keyed
-hashes must therefore fire on exactly the same (src, dst, round) links on
-every engine), and with NumPy monkeypatched away.  ``reference`` joins the
-matrix at output/completion level (its metrics are the dict oracle's own).
+The contract under test: the ``columnar`` engine carries ``ctx.send``
+traffic bit-for-bit identically to the ``reference`` oracle — outputs,
+``Metrics.as_dict()`` (hence per-round bit tallies), completion and
+enforcement error text — across all four communication models, for
+pure-targeted and mixed targeted/broadcast rounds (the broadcast/targeted
+interleave order within a sender's outbox), under every adversary class
+(whose keyed hashes must therefore fire on exactly the same
+(src, dst, round) links on both engines), and with NumPy monkeypatched
+away.
 
 Plus unit coverage for :class:`~repro.distributed.targeted.TargetedInbox`,
 the lazy Mapping view the fault-free NumPy kernel hands receivers.
@@ -16,6 +17,7 @@ the lazy Mapping view the fault-free NumPy kernel hands receivers.
 import pytest
 
 from repro.distributed import (
+    ENGINES,
     BandwidthExceededError,
     MessageAdmissionError,
     NodeProgram,
@@ -26,7 +28,9 @@ from repro.distributed import (
     congested_clique_model,
     local_model,
 )
+from repro.distributed import columnar as columnar_module
 from repro.distributed import targeted as targeted_module
+from repro.distributed import vectorize as vectorize_module
 from repro.distributed.adversary import build_adversary
 from repro.graphs import gnp_random_graph, path_graph
 
@@ -108,13 +112,7 @@ def _outcome(engine, model_key, mix, adversary):
         return error
 
 
-@pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a or "fault-free")
-@pytest.mark.parametrize("mix", [False, True], ids=["targeted", "mixed"])
-@pytest.mark.parametrize("model_key", sorted(MODELS))
-@pytest.mark.parametrize("engine", ["batch", "columnar"])
-def test_engine_matches_indexed_bit_for_bit(engine, model_key, mix, adversary):
-    expected = _outcome("indexed", model_key, mix, adversary)
-    got = _outcome(engine, model_key, mix, adversary)
+def _assert_same_outcome(got, expected):
     if isinstance(expected, Exception):
         # Enforcement parity: same exception type AND same message (the
         # violating link is named identically).
@@ -124,32 +122,45 @@ def test_engine_matches_indexed_bit_for_bit(engine, model_key, mix, adversary):
         assert got == expected
 
 
-@pytest.mark.parametrize("mix", [False, True], ids=["targeted", "mixed"])
-@pytest.mark.parametrize("model_key", sorted(MODELS))
-def test_reference_engine_agrees_on_outputs(model_key, mix):
-    expected = _outcome("indexed", model_key, mix, None)
-    got = _outcome("reference", model_key, mix, None)
-    if isinstance(expected, Exception):
-        assert type(got) is type(expected)
-    else:
-        assert got["outputs"] == expected["outputs"]
-        assert got["completed"] == expected["completed"]
+def _disable_numpy(monkeypatch):
+    """Send every columnar kernel down its stdlib path (``REPRO_DISABLE_NUMPY=1``)."""
+    for module in (columnar_module, targeted_module, vectorize_module):
+        monkeypatch.setattr(module, "_np", None)
 
 
 @pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a or "fault-free")
-@pytest.mark.parametrize("engine", ["batch", "columnar"])
-def test_no_numpy_fallback_matches_numpy_path(engine, adversary, monkeypatch):
-    with_numpy = _outcome(engine, "clique", True, adversary)
+@pytest.mark.parametrize("mix", [False, True], ids=["targeted", "mixed"])
+@pytest.mark.parametrize("model_key", sorted(MODELS))
+def test_columnar_matches_reference_bit_for_bit(model_key, mix, adversary):
+    expected = _outcome("reference", model_key, mix, adversary)
+    got = _outcome("columnar", model_key, mix, adversary)
+    _assert_same_outcome(got, expected)
+
+
+@pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a or "fault-free")
+@pytest.mark.parametrize("mix", [False, True], ids=["targeted", "mixed"])
+@pytest.mark.parametrize("model_key", sorted(MODELS))
+def test_columnar_matches_reference_bit_for_bit_without_numpy(
+    model_key, mix, adversary, monkeypatch
+):
+    # The same matrix on the stdlib scatter kernels: the pure-Python
+    # fallback must match the oracle on every model and fault class, not
+    # only agree with the NumPy path on one cell.
+    _disable_numpy(monkeypatch)
+    expected = _outcome("reference", model_key, mix, adversary)
+    got = _outcome("columnar", model_key, mix, adversary)
+    _assert_same_outcome(got, expected)
+
+
+@pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a or "fault-free")
+def test_no_numpy_fallback_matches_numpy_path(adversary, monkeypatch):
+    with_numpy = _outcome("columnar", "clique", True, adversary)
     monkeypatch.setattr(targeted_module, "_np", None)
-    without = _outcome(engine, "clique", True, adversary)
-    if isinstance(with_numpy, Exception):
-        assert type(without) is type(with_numpy)
-        assert str(without) == str(with_numpy)
-    else:
-        assert without == with_numpy
+    without = _outcome("columnar", "clique", True, adversary)
+    _assert_same_outcome(without, with_numpy)
 
 
-@pytest.mark.parametrize("engine", ["batch", "columnar"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_broadcast_only_model_rejects_send_semantically(engine):
     class Sender(NodeProgram):
         def __init__(self, v):

@@ -2,7 +2,7 @@
 
 The lowering layer (``repro.distributed.vectorize``) ships under the
 tightest gate in the repo: a lowered run must be **bit-for-bit identical**
-to the stepped columnar run and the indexed oracle — outputs,
+to the stepped columnar run and the reference oracle — outputs,
 ``Metrics.as_dict()``, ``bits_per_round``, fault counters — across all four
 communication models, under the drop/crash adversaries, with NumPy
 monkeypatched away, and on negative-label instances that force the
@@ -82,7 +82,7 @@ def _assert_identical(a, b):
 
 
 class TestLoweredDifferential:
-    """Lowered == stepped == indexed, all models, all lowerable workloads."""
+    """Lowered == stepped == reference, all models, all lowerable workloads."""
 
     @pytest.mark.parametrize("model_factory", ALL_MODELS)
     @pytest.mark.parametrize("workload", sorted(WORKLOADS), ids=str)
@@ -93,11 +93,11 @@ class TestLoweredDifferential:
         stepped_sim, stepped = _run(
             g, factory, model_factory(40), "columnar", seed=9, vectorize=False
         )
-        _, indexed = _run(g, factory, model_factory(40), "indexed", seed=9)
+        _, reference = _run(g, factory, model_factory(40), "reference", seed=9)
         assert lowered_sim.lowered
         assert not stepped_sim.lowered
         _assert_identical(lowered, stepped)
-        _assert_identical(lowered, indexed)
+        _assert_identical(lowered, reference)
 
     @pytest.mark.parametrize("adversary", ["drop:0.2", "crash:3@1,11@2,24@3"])
     @pytest.mark.parametrize("workload", sorted(WORKLOADS), ids=str)
@@ -107,7 +107,7 @@ class TestLoweredDifferential:
         g = gnp_random_graph(30, 0.2, seed=6)
         factory = WORKLOADS[workload]
         runs = {}
-        for engine, vectorize in (("columnar", True), ("indexed", True)):
+        for engine, vectorize in (("columnar", True), ("reference", True)):
             sim, result = _run(
                 g,
                 factory,
@@ -120,7 +120,7 @@ class TestLoweredDifferential:
             runs[engine] = result
             if engine == "columnar":
                 assert sim.lowered
-        _assert_identical(runs["columnar"], runs["indexed"])
+        _assert_identical(runs["columnar"], runs["reference"])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_multi_seed_sweep_under_drop(self, seed):
@@ -158,16 +158,16 @@ class TestLoweredDifferential:
         lowered_sim, lowered = _run(
             g, factory, broadcast_congest_model(8), "columnar", seed=2
         )
-        _, indexed = _run(g, factory, broadcast_congest_model(8), "indexed", seed=2)
+        _, reference = _run(g, factory, broadcast_congest_model(8), "reference", seed=2)
         assert lowered_sim.lowered
-        _assert_identical(lowered, indexed)
+        _assert_identical(lowered, reference)
         assert set(lowered.outputs.values()) == {4}
 
 
 class TestLoweringDecision:
     """Every refusal seam declines visibly and falls back exactly."""
 
-    def _parity_with_indexed(self, g, factory, adversary=None, expect_lowered=False):
+    def _parity_with_reference(self, g, factory, adversary=None, expect_lowered=False):
         sim, columnar = _run(
             g,
             factory,
@@ -176,16 +176,16 @@ class TestLoweringDecision:
             seed=3,
             adversary=adversary,
         )
-        _, indexed = _run(
+        _, reference = _run(
             g,
             factory,
             broadcast_congest_model(g.number_of_nodes(), enforce=False),
-            "indexed",
+            "reference",
             seed=3,
             adversary=adversary,
         )
         assert sim.lowered == expect_lowered
-        _assert_identical(columnar, indexed)
+        _assert_identical(columnar, reference)
 
     def test_vectorize_false_steps(self):
         g = gnp_random_graph(25, 0.25, seed=1)
@@ -202,7 +202,7 @@ class TestLoweringDecision:
         # Corruption mutates payloads in flight; the flat fold cannot model
         # that, so the run must step — and still match the oracle exactly.
         g = gnp_random_graph(25, 0.25, seed=1)
-        self._parity_with_indexed(
+        self._parity_with_reference(
             g, WORKLOADS["redundant"], adversary="corrupt:0.1"
         )
 
@@ -211,24 +211,24 @@ class TestLoweringDecision:
         # checksummed frames; the parent's vector_kernel guards on ``cls``
         # and must decline rather than lower with the parent's semantics.
         g = gnp_random_graph(25, 0.25, seed=1)
-        self._parity_with_indexed(g, lambda v: CodedFloodMaxProgram(v, 3))
+        self._parity_with_reference(g, lambda v: CodedFloodMaxProgram(v, 3))
 
     def test_mixed_program_classes_decline(self):
         g = gnp_random_graph(24, 0.25, seed=2)
         factory = lambda v: (  # noqa: E731
             FloodMaxProgram(v, 6) if v % 2 == 0 else RobustFloodMaxProgram(v, 3)
         )
-        self._parity_with_indexed(g, factory)
+        self._parity_with_reference(g, factory)
 
     def test_tampered_initial_state_declines(self):
         # best != own label means per-node state was touched before the run;
         # the kernel cannot reproduce it wholesale, so lowering declines.
         g = gnp_random_graph(20, 0.3, seed=4)
-        self._parity_with_indexed(g, lambda v: FloodMaxProgram(min(v, 3), 6))
+        self._parity_with_reference(g, lambda v: FloodMaxProgram(min(v, 3), 6))
 
     def test_heterogeneous_config_declines(self):
         g = gnp_random_graph(20, 0.3, seed=4)
-        self._parity_with_indexed(
+        self._parity_with_reference(
             g, lambda v: FloodMaxProgram(v, 6 if v % 2 == 0 else 7)
         )
 
@@ -237,22 +237,22 @@ class TestLoweringDecision:
         names = ["ant", "bee", "cat", "dog", "elk"]
         for a, b in zip(names, names[1:]):
             g.add_edge(a, b)
-        self._parity_with_indexed(g, lambda v: FloodMaxProgram(v, 4))
+        self._parity_with_reference(g, lambda v: FloodMaxProgram(v, 4))
 
     def test_labels_beyond_int64_decline(self):
         g = Graph()
         labels = [(1 << 70) + i for i in range(5)]
         for a, b in zip(labels, labels[1:]):
             g.add_edge(a, b)
-        self._parity_with_indexed(g, lambda v: FloodMaxProgram(v, 4))
+        self._parity_with_reference(g, lambda v: FloodMaxProgram(v, 4))
 
     def test_zero_round_budget_lowers_and_halts_in_on_start(self):
         g = gnp_random_graph(15, 0.3, seed=5)
         factory = lambda v: FloodMaxProgram(v, 0)  # noqa: E731
         sim, lowered = _run(g, factory, broadcast_congest_model(15), "columnar")
-        _, indexed = _run(g, factory, broadcast_congest_model(15), "indexed")
+        _, reference = _run(g, factory, broadcast_congest_model(15), "reference")
         assert sim.lowered
-        _assert_identical(lowered, indexed)
+        _assert_identical(lowered, reference)
         assert lowered.metrics.messages_sent == 0
 
 
@@ -268,9 +268,9 @@ class TestNumpyAbsentLowering:
         sim, fallback = _run(
             g, factory, broadcast_congest_model(30), "columnar", seed=2
         )
-        _, indexed = _run(g, factory, broadcast_congest_model(30), "indexed", seed=2)
+        _, reference = _run(g, factory, broadcast_congest_model(30), "reference", seed=2)
         assert sim.lowered  # lowering engages without NumPy, just slower
-        _assert_identical(fallback, indexed)
+        _assert_identical(fallback, reference)
 
     @pytest.mark.parametrize("adversary", ["drop:0.2", "crash:3@1,11@2"])
     def test_adversaries_without_numpy(self, monkeypatch, adversary):
@@ -285,16 +285,16 @@ class TestNumpyAbsentLowering:
             seed=5,
             adversary=adversary,
         )
-        _, indexed = _run(
+        _, reference = _run(
             g,
             WORKLOADS["robust"],
             broadcast_congest_model(28, enforce=False),
-            "indexed",
+            "reference",
             seed=5,
             adversary=adversary,
         )
         assert sim.lowered
-        _assert_identical(fallback, indexed)
+        _assert_identical(fallback, reference)
 
 
 class TestClosedFormSizes:

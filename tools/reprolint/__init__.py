@@ -1,9 +1,9 @@
 """reprolint: AST-based determinism and hot-path invariant checker.
 
-The repo's engine-parity guarantees (bit-for-bit identity across the
-indexed/batch/columnar/targeted engines, seeded adversary determinism,
-NumPy-optional kernel equality) are enforced *dynamically* by the
-differential test suite.  ``reprolint`` is the *static* half of that
+The repo's engine-parity guarantees (bit-for-bit identity of the columnar
+engine's stepped, targeted and lowered paths with the reference oracle,
+seeded adversary determinism, NumPy-optional kernel equality) are enforced
+*dynamically* by the differential test suite.  ``reprolint`` is the *static* half of that
 contract: a small, dependency-free framework that walks the Python AST of
 ``src/repro/`` and flags constructs that can silently break determinism or
 regress the hot paths — unseeded global randomness, hash-order-dependent
