@@ -16,6 +16,8 @@ import gc
 import os
 import time
 
+from common import ANCHOR_GRAPH
+
 from repro.core import run_flood_max
 from repro.distributed import NoAdversary
 from repro.experiments import bench_experiment
@@ -24,9 +26,7 @@ from repro.experiments.families import build_graph
 #: The adversary seam's admissible no-fault slowdown on the stepped path.
 MAX_NO_ADVERSARY_OVERHEAD = float(os.environ.get("E19_MAX_OVERHEAD", "0.10"))
 
-#: The n=20000 anchor instance (E20), trimmed to 5 rounds: large enough that
-#: per-message work dominates, small enough for a tier-1-friendly wall time.
-_GRAPH = ("sparse_connected_gnp", 20000, 0.0005, 18)
+#: Flood-max rounds per timed run on the shared anchor graph.
 _ROUNDS = 5
 #: Timed runs per arm; the arms alternate so drift hits both alike.
 _REPEATS = 7
@@ -67,7 +67,7 @@ def test_e19_robustness(benchmark):
     # run by run (alternating which goes first), best of _REPEATS each — min
     # sheds additive scheduler noise and interleaving keeps slow machine
     # phases from landing on one arm.
-    graph = build_graph(_GRAPH)
+    graph = build_graph(ANCHOR_GRAPH)
     best = {"none": float("inf"), "identity": float("inf")}
     arms = [("none", None), ("identity", NoAdversary())]
     for repeat in range(_REPEATS):

@@ -6,7 +6,8 @@ that makes those points affordable, on the sweep's n=20000 anchor graph:
 the stepped columnar engine (``vectorize=False`` — whole-round lowering is
 E23's subject, not this guard's) against the ``reference`` oracle.
 
-Methodology — steady-state delta-rounds: end-to-end wall time of a
+Methodology — steady-state delta-rounds
+(``common.steady_state_per_round``): end-to-end wall time of a
 flood-max run is dominated at small round counts by setup (contexts,
 programs, CSR views), which would dilute the ratio.  So each engine is
 timed twice, at a long and at a 5-round budget (after a 3-round warmup),
@@ -25,7 +26,8 @@ does not.  Measured figures live in ``docs/performance.md``.
 """
 
 import os
-import time
+
+from common import ANCHOR_GRAPH, steady_state_per_round
 
 from repro.core.flood_max import run_flood_max
 from repro.experiments.families import build_graph
@@ -35,47 +37,38 @@ from repro.experiments.families import build_graph
 MIN_COLUMNAR_SPEEDUP = float(os.environ.get("E20_MIN_SPEEDUP", "3.0"))
 MIN_MSGS_PER_SEC = float(os.environ.get("E20_MIN_MSGS_PER_SEC", "0"))
 
-#: The E20 anchor instance and seed (defs_megascale).
-_GRAPH = ("sparse_connected_gnp", 20000, 0.0005, 18)
+#: The anchor's seed (defs_megascale).
 _SEED = 3
 _WARMUP_ROUNDS = 3
 _SHORT_ROUNDS = 5
 _LONG_ROUNDS = {"reference": 15, "columnar": 45}
 
 
-def _flood(graph, engine: str, rounds: int):
-    """One flood-max run, stepped: the guard measures the engine, not lowering."""
-    return run_flood_max(
-        graph, rounds=rounds, seed=_SEED, engine=engine, vectorize=False
-    )
+def _per_round(graph, engine: str) -> float:
+    """Per-round seconds of ``engine`` on ``graph``, setup excluded.
 
-
-def _steady_state_per_round(graph, engine: str) -> float:
-    """Per-round seconds of ``engine`` on ``graph``, setup excluded."""
-    long_rounds = _LONG_ROUNDS[engine]
-    _flood(graph, engine, _WARMUP_ROUNDS)
-    timings = {}
-    for rounds in (_SHORT_ROUNDS, long_rounds):
-        start = time.perf_counter()
-        result = _flood(graph, engine, rounds)
-        timings[rounds] = time.perf_counter() - start
-        # Only the long run covers the diameter; the short run exists purely
-        # to subtract the setup cost.
-        if rounds == long_rounds:
-            assert result.converged
-            assert result.leader == graph.number_of_nodes() - 1
-    return (timings[long_rounds] - timings[_SHORT_ROUNDS]) / (
-        long_rounds - _SHORT_ROUNDS
+    Runs are stepped: the guard measures the engine, not lowering.
+    """
+    per_round, result = steady_state_per_round(
+        lambda rounds: run_flood_max(
+            graph, rounds=rounds, seed=_SEED, engine=engine, vectorize=False
+        ),
+        _WARMUP_ROUNDS,
+        _SHORT_ROUNDS,
+        _LONG_ROUNDS[engine],
     )
+    assert result.converged
+    assert result.leader == graph.number_of_nodes() - 1
+    return per_round
 
 
 def test_e20_columnar_engine(benchmark):
-    graph = build_graph(_GRAPH)
+    graph = build_graph(ANCHOR_GRAPH)
     msgs_per_round = 2 * graph.number_of_edges()
 
     def measure():
         return {
-            engine: _steady_state_per_round(graph, engine)
+            engine: _per_round(graph, engine)
             for engine in ("reference", "columnar")
         }
 

@@ -8,7 +8,8 @@ denser sibling of the registry's fan-out anchor (same n and seed,
 double the density and fan-out): every node sends one small int to each of
 its first 16 ascending neighbours, every round.
 
-Methodology — steady-state delta-rounds, exactly as ``bench_e20_columnar``:
+Methodology — steady-state delta-rounds, exactly as ``bench_e20_columnar``
+(``common.steady_state_per_round``):
 each engine is timed at 45 and at 5 rounds (after a 3-round warmup) and the
 per-round cost is ``(t45 - t5) / 40``, so the setup cost (contexts,
 programs, neighbour rows) cancels.  Each engine
@@ -31,8 +32,9 @@ with host hardware in a way a ratio does not.
 """
 
 import os
-import time
 from itertools import chain
+
+from common import steady_state_per_round
 
 from repro.distributed import NodeProgram, Simulator
 from repro.distributed.models import congest_model
@@ -104,25 +106,16 @@ def _run(graph, engine, rounds):
     return sim.run(max_rounds=rounds + 2)
 
 
-def _steady_state_per_round(graph, engine: str):
+def _per_round(graph, engine: str):
     """(per-round seconds, long-run outputs) of ``engine``, setup excluded."""
-    _run(graph, engine, _WARMUP_ROUNDS)
-    best = None
-    outputs = None
-    for _ in range(_REPS):
-        timings = {}
-        for rounds in (_SHORT_ROUNDS, _LONG_ROUNDS):
-            start = time.perf_counter()
-            result = _run(graph, engine, rounds)
-            timings[rounds] = time.perf_counter() - start
-            if rounds >= _LONG_ROUNDS:
-                outputs = dict(result.outputs)
-        per_round = (timings[_LONG_ROUNDS] - timings[_SHORT_ROUNDS]) / (
-            _LONG_ROUNDS - _SHORT_ROUNDS
-        )
-        if best is None or per_round < best:
-            best = per_round
-    return best, outputs
+    per_round, result = steady_state_per_round(
+        lambda rounds: _run(graph, engine, rounds),
+        _WARMUP_ROUNDS,
+        _SHORT_ROUNDS,
+        _LONG_ROUNDS,
+        reps=_REPS,
+    )
+    return per_round, dict(result.outputs)
 
 
 def test_e21_targeted_fast_path(benchmark):
@@ -135,9 +128,7 @@ def test_e21_targeted_fast_path(benchmark):
         per_round = {}
         outputs = {}
         for engine in ("reference", "columnar"):
-            per_round[engine], outputs[engine] = _steady_state_per_round(
-                graph, engine
-            )
+            per_round[engine], outputs[engine] = _per_round(graph, engine)
         # The ratio only means something if the engines computed the same
         # thing: the differential contract, asserted on the long run.
         assert outputs["columnar"] == outputs["reference"]

@@ -22,6 +22,8 @@ touching the registry.
 import os
 import time
 
+from common import ANCHOR_GRAPH
+
 from repro.core import run_flood_max
 from repro.distributed import CorruptAdversary, DropAdversary
 from repro.experiments import bench_experiment
@@ -37,9 +39,7 @@ MAX_TRANSFORM_OVERHEAD = float(os.environ.get("E22_MAX_OVERHEAD", "1.5"))
 #: still hashed, keeping both timed paths' per-edge work identical.
 _EPSILON_RATE = 1e-9
 
-#: E19's instance (the E20 anchor): large enough that per-message work
-#: dominates, small enough for a tier-1-friendly wall time.
-_GRAPH = ("sparse_connected_gnp", 20000, 0.0005, 18)
+#: Flood-max rounds per timed run on the shared anchor graph (E19's too).
 _ROUNDS = 5
 
 
@@ -85,7 +85,7 @@ def test_e22_corruption(benchmark):
     # best-of-3 each to shed scheduler noise.  Both hash every edge and
     # neither ever fires, so the difference is purely the materialization
     # fallback.
-    graph = build_graph(_GRAPH)
+    graph = build_graph(ANCHOR_GRAPH)
     shared = _best_of(graph, 3, DropAdversary(_EPSILON_RATE))
     per_edge = _best_of(graph, 3, CorruptAdversary(_EPSILON_RATE))
     overhead = per_edge / shared - 1.0

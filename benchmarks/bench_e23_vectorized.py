@@ -9,7 +9,7 @@ stepped columnar path (``vectorize=False``, one ``step()`` call per alive
 vertex per round) by ``E23_MIN_SPEEDUP``.
 
 Methodology — the same steady-state delta-rounds subtraction as
-``bench_e20_columnar``: each mode is timed at 45 and at 5 rounds after a
+``bench_e20_columnar`` (``common.steady_state_per_round``): each mode is timed at 45 and at 5 rounds after a
 3-round warmup, and the per-round cost is ``(t45 - t5) / 40`` so the
 setup cost (contexts, CSR views, label columns — identical across modes)
 cancels.  Throughput is ``2m / per_round`` messages/sec.
@@ -23,9 +23,8 @@ cross-commit wall-time series.
 """
 
 import os
-import time
 
-from common import append_trajectory
+from common import ANCHOR_GRAPH, append_trajectory, steady_state_per_round
 
 from repro.core.flood_max import run_flood_max
 from repro.experiments.families import build_graph
@@ -34,43 +33,35 @@ from repro.experiments.families import build_graph
 # shared-runner noise without losing the regression guard.
 MIN_LOWERED_SPEEDUP = float(os.environ.get("E23_MIN_SPEEDUP", "3.0"))
 
-#: The E20/E23 shared anchor instance and seed.
-_GRAPH = ("sparse_connected_gnp", 20000, 0.0005, 18)
+#: The anchor's seed (defs_megascale).
 _SEED = 3
 _WARMUP_ROUNDS = 3
 _SHORT_ROUNDS = 5
 _LONG_ROUNDS = 45
 
 
-def _steady_state_per_round(graph, vectorize: bool) -> float:
+def _per_round(graph, vectorize: bool) -> float:
     """Per-round seconds of the columnar engine, setup excluded."""
-    run_flood_max(
-        graph, rounds=_WARMUP_ROUNDS, seed=_SEED, engine="columnar", vectorize=vectorize
-    )
-    timings = {}
-    for rounds in (_SHORT_ROUNDS, _LONG_ROUNDS):
-        start = time.perf_counter()
-        result = run_flood_max(
+    per_round, result = steady_state_per_round(
+        lambda rounds: run_flood_max(
             graph, rounds=rounds, seed=_SEED, engine="columnar", vectorize=vectorize
-        )
-        timings[rounds] = time.perf_counter() - start
-        # Only the long run covers the diameter; the short run exists purely
-        # to subtract the setup cost.
-        if rounds >= _LONG_ROUNDS:
-            assert result.converged
-            assert result.leader == graph.number_of_nodes() - 1
-    return (timings[_LONG_ROUNDS] - timings[_SHORT_ROUNDS]) / (
-        _LONG_ROUNDS - _SHORT_ROUNDS
+        ),
+        _WARMUP_ROUNDS,
+        _SHORT_ROUNDS,
+        _LONG_ROUNDS,
     )
+    assert result.converged
+    assert result.leader == graph.number_of_nodes() - 1
+    return per_round
 
 
 def test_e23_lowered_columnar(benchmark):
-    graph = build_graph(_GRAPH)
+    graph = build_graph(ANCHOR_GRAPH)
     msgs_per_round = 2 * graph.number_of_edges()
 
     def measure():
         return {
-            mode: _steady_state_per_round(graph, vectorize)
+            mode: _per_round(graph, vectorize)
             for mode, vectorize in (("stepped", False), ("lowered", True))
         }
 
@@ -89,7 +80,7 @@ def test_e23_lowered_columnar(benchmark):
     )
     trajectory = append_trajectory(
         "BENCH_E23.json",
-        graph=list(_GRAPH),
+        graph=list(ANCHOR_GRAPH),
         msgs_per_round=msgs_per_round,
         stepped_per_round_s=per_round["stepped"],
         lowered_per_round_s=per_round["lowered"],

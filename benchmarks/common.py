@@ -15,10 +15,46 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.experiments.reporting import flatten_info, fmt, print_table  # noqa: F401
+
+#: The n=20000 anchor instance of the E20 sweep (``defs_megascale``): the
+#: shared graph of the E19, E20, E22 and E23 speed guards — large enough
+#: that per-message work dominates, small enough for a quick guard.
+ANCHOR_GRAPH = ("sparse_connected_gnp", 20000, 0.0005, 18)
+
+
+def steady_state_per_round(
+    run: Callable[[int], Any], warmup: int, short: int, long: int, reps: int = 1
+) -> tuple[float, Any]:
+    """Steady-state seconds per round of ``run``, setup excluded.
+
+    ``run(rounds)`` performs one whole run with a ``rounds``-round budget.
+    After one untimed ``warmup``-round run, each of ``reps`` measurements
+    times a ``short`` and a ``long`` run and takes
+    ``(t_long - t_short) / (long - short)``: the setup cost (contexts,
+    programs, CSR views) is the same in both runs and cancels.  The best
+    measurement is kept — ``min`` is the right estimator for timing noise,
+    which is strictly additive.  Returns ``(per_round, result)``, where
+    ``result`` is what the last long run returned (only the long run covers
+    the diameter, so callers check convergence on it).
+    """
+    run(warmup)
+    best = float("inf")
+    result = None
+    for _ in range(reps):
+        timings = {}
+        for rounds in (short, long):
+            start = time.perf_counter()
+            outcome = run(rounds)
+            timings[rounds] = time.perf_counter() - start
+            if rounds == long:
+                result = outcome
+        best = min(best, (timings[long] - timings[short]) / (long - short))
+    return best, result
 
 
 def record(benchmark, **info: Any) -> None:

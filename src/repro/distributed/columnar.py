@@ -19,7 +19,9 @@ traffic becomes a handful of flat-array operations —
   totals are mask dot-products over preallocated per-node count columns
   (NumPy when importable, a tight stdlib loop otherwise) deposited in a
   preallocated :class:`~repro.distributed.metrics.RoundTally` that is
-  flushed into :class:`~repro.distributed.metrics.Metrics` once per round;
+  flushed into :class:`~repro.distributed.metrics.Metrics` once per round.
+  They live in one place, :class:`BroadcastLedger`, which the lowered path
+  (:mod:`repro.distributed.vectorize`) charges its rounds through too;
 * **delivery** — no inbox dicts are built: every receiver owns one
   persistent :class:`ColumnarInbox` view over the shared round state.  In
   the common every-node-broadcasts round the payload lists of *all*
@@ -141,7 +143,9 @@ class _RoundState:
         "build_row_max",
     )
 
-    def __init__(self, n: int, labels: list[Any], index: dict[Any, int]) -> None:
+    def __init__(
+        self, n: int, labels: list[Any], index: dict[Any, int], sent: bytearray
+    ) -> None:
         # Initialised to 0 (an int), not None: isolated vertices never send,
         # so their column slots must stay convertible when the whole column
         # is lowered to an int64 array for the reduceat fold kernel.
@@ -149,7 +153,7 @@ class _RoundState:
         self.plists: list[list[Any] | None] = [None] * n
         self.plists_valid = False
         self.senders: list[int] = []
-        self.sent = bytearray(n)
+        self.sent = sent
         self.labels = labels
         self.index = index
         self.all_sent = False
@@ -351,6 +355,198 @@ def _virtual_counts(topo, graph_sets) -> array:
     return counts
 
 
+class BroadcastLedger:
+    """One run's broadcast-round accounting, shared by stepped and lowered runs.
+
+    Every bit a broadcast round puts on the wire is charged here, once per
+    collection pass: messages, bits, max message size, cut-crossing
+    messages and bits, overlay-link messages, budget violations and the
+    broadcast-payload counter, deposited in a
+    :class:`~repro.distributed.metrics.RoundTally` and flushed into the
+    run's :class:`~repro.distributed.metrics.Metrics`.  The stepped
+    ``collect`` closure of :func:`build_columnar_collect` and the lowered
+    :class:`~repro.distributed.vectorize.EngineView` both build one ledger
+    and call :meth:`account`, so lowered, stepped and (by the parity
+    contract) reference runs charge a round identically.
+
+    The caller fills the run-lifetime send columns before each pass: the
+    ``sent`` flag byte and the ``bits_col`` wire size of every sender
+    (slots of non-senders may be stale; only flagged slots are read).  The
+    per-node ``degrees``, cut-crossing and overlay count columns are fixed
+    for the run.  With NumPy (the caller's module snapshot, ``np``) the
+    ledger keeps zero-copy views of all of them — ``sent_np``,
+    ``bits_np``, ``deg_np`` — and charges a pass with mask dot-products;
+    without it the sender-ordered walk does the same sums.
+    """
+
+    __slots__ = (
+        "np",
+        "metrics",
+        "model",
+        "labels",
+        "indptr",
+        "indices",
+        "degrees",
+        "n_connected",
+        "sent",
+        "bits_col",
+        "cut_counts",
+        "virtual_counts",
+        "tally",
+        "deg_np",
+        "sent_np",
+        "bits_np",
+        "cut_np",
+        "virt_np",
+    )
+
+    def __init__(self, sim: "Simulator", metrics: Metrics, graph_sets, np) -> None:
+        topo = sim.topology
+        n = topo.n
+        labels = topo.labels
+        self.np = np
+        self.metrics = metrics
+        self.model = sim.model
+        self.labels = labels
+        self.indptr, self.indices = topo.indptr, topo.indices
+        self.degrees = list(topo.degrees)
+        # Degree-0 vertices never send and appear in no receiver's row, so a
+        # pass in which every positive-degree vertex broadcast is an
+        # all-senders pass — not only one in which all ``n`` did.
+        self.n_connected = sum(1 for deg in self.degrees if deg)
+        self.sent = bytearray(n)
+        self.bits_col = array("q", [0]) * n
+        cut = sim.cut
+        self.cut_counts = (
+            _crossing_counts(topo, [labels[i] in cut for i in range(n)])
+            if cut is not None
+            else None
+        )
+        self.virtual_counts = (
+            _virtual_counts(topo, graph_sets) if graph_sets is not None else None
+        )
+        self.tally = RoundTally()
+        self.deg_np = self.sent_np = self.bits_np = self.cut_np = self.virt_np = None
+        if np is not None:
+            self.deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
+            self.bits_np = np.frombuffer(self.bits_col, dtype=np.int64)
+            # Zero-copy boolean view of the sent column; the bytearray is
+            # never resized, so the exported buffer stays valid for the run.
+            self.sent_np = np.frombuffer(self.sent, dtype=np.uint8).view(np.bool_)
+            if self.cut_counts is not None:
+                self.cut_np = np.frombuffer(self.cut_counts, dtype=np.int64)
+            if self.virtual_counts is not None:
+                self.virt_np = np.frombuffer(self.virtual_counts, dtype=np.int64)
+
+    def account(self, count: int, senders: list[int] | None = None) -> None:
+        """Charge one collection pass of ``count`` broadcasters and flush it.
+
+        ``senders`` are the pass's ascending sender indices, or ``None`` to
+        rebuild them from the ``sent`` flags when the ordered walk needs
+        them.  The tally is flushed on every pass, empty ones included.
+        Under an enforcing model a payload over budget raises
+        :class:`~repro.distributed.errors.BandwidthExceededError` from the
+        ordered walk, NumPy or not.
+        """
+        metrics = self.metrics
+        tally = self.tally
+        tally.reset(metrics.max_message_bits)
+        if count:
+            counts = tally.counts
+            np = self.np
+            model = self.model
+            if np is not None:
+                mask = self.sent_np
+                bits_np = self.bits_np
+                deg_np = self.deg_np
+                budget = model.bandwidth_bits
+                if budget is not None:
+                    over = (bits_np > budget) & mask
+                    if over.any():
+                        if model.enforce:
+                            self._walk(senders)  # raises
+                        counts[RoundTally.VIOLATIONS] = int(deg_np.dot(over))
+                counts[RoundTally.MESSAGES] = int(deg_np.dot(mask))
+                weighted = bits_np * deg_np
+                counts[RoundTally.BITS] = int(weighted.dot(mask))
+                max_bits = int((bits_np * mask).max())
+                if max_bits > counts[RoundTally.MAX_BITS]:
+                    counts[RoundTally.MAX_BITS] = max_bits
+                if self.cut_np is not None:
+                    counts[RoundTally.CUT_MESSAGES] = int(self.cut_np.dot(mask))
+                    counts[RoundTally.CUT_BITS] = int((bits_np * self.cut_np).dot(mask))
+                if self.virt_np is not None:
+                    counts[RoundTally.VIRTUAL] = int(self.virt_np.dot(mask))
+            else:
+                (
+                    counts[RoundTally.MESSAGES], counts[RoundTally.BITS],
+                    counts[RoundTally.MAX_BITS], counts[RoundTally.CUT_MESSAGES],
+                    counts[RoundTally.CUT_BITS], counts[RoundTally.VIOLATIONS],
+                    counts[RoundTally.VIRTUAL],
+                ) = self._walk(senders)
+            if model.broadcast_only:
+                counts[RoundTally.BROADCASTS] = count
+        tally.flush(metrics)
+
+    def _walk(self, senders: list[int] | None) -> tuple:
+        """Sender-order accumulation; raises mid-walk on an enforced violation.
+
+        This is both the stdlib accounting kernel and the enforcement path:
+        it walks senders in ascending order, so when an enforcing model's
+        budget is exceeded the metrics are flushed through the first
+        violating sender and the raise names that sender's first CSR link.
+        """
+        if senders is None:
+            sent = self.sent
+            senders = [i for i in range(len(sent)) if sent[i]]
+        model = self.model
+        budget = model.bandwidth_bits
+        enforce = model.enforce
+        bits_col = self.bits_col
+        degrees = self.degrees
+        cut_counts = self.cut_counts
+        virtual_counts = self.virtual_counts
+        messages = 0
+        bits_total = 0
+        max_bits = self.tally.counts[RoundTally.MAX_BITS]
+        cut_messages = 0
+        cut_bits = 0
+        violations = 0
+        virtual = 0
+        for k in range(len(senders)):
+            src_i = senders[k]
+            bits = bits_col[src_i]
+            deg = degrees[src_i]
+            messages += deg
+            bits_total += deg * bits
+            if bits > max_bits:
+                max_bits = bits
+            if cut_counts is not None:
+                crossing = cut_counts[src_i]
+                if crossing:
+                    cut_messages += crossing
+                    cut_bits += crossing * bits
+            if virtual_counts is not None:
+                virtual += virtual_counts[src_i]
+            if budget is not None and bits > budget:
+                violations += deg
+                if enforce:
+                    flush_round_tally(
+                        self.metrics, messages, bits_total, max_bits, cut_messages,
+                        cut_bits, violations,
+                        (k + 1) if model.broadcast_only else 0, virtual,
+                    )
+                    labels = self.labels
+                    src = labels[src_i]
+                    first = labels[self.indices[self.indptr[src_i]]]
+                    raise BandwidthExceededError(
+                        f"message(s) on link {src!r}->{first!r} use "
+                        f"{bits} bits, budget is {budget} "
+                        f"({model.name})"
+                    )
+        return messages, bits_total, max_bits, cut_messages, cut_bits, violations, virtual
+
+
 def build_columnar_collect(
     sim: "Simulator",
     contexts: list[NodeContext],
@@ -361,12 +557,11 @@ def build_columnar_collect(
 ) -> Callable[[Iterable[int]], list[Any]]:
     """Build the columnar engine's per-round ``collect`` callable.
 
-    Precomputes the run-lifetime columns (sorted neighbour rows, degree /
-    cut-crossing / overlay count arrays, the payload size table, the
-    per-receiver inbox views and the
-    :class:`~repro.distributed.metrics.RoundTally`) and returns the closure
-    :meth:`~repro.distributed.simulator.Simulator._drive` calls once per
-    round.  ``sim`` supplies the compiled topology, model and cut exactly
+    Precomputes the run-lifetime state (sorted neighbour rows, the
+    :class:`BroadcastLedger` that charges every broadcast round, the
+    payload size table and the per-receiver inbox views) and returns the
+    closure :meth:`~repro.distributed.simulator.Simulator._drive` calls
+    once per round.  ``sim`` supplies the compiled topology, model and cut exactly
     as the reference engine sees them.  ``tsignal`` is the contexts' shared
     targeted-traffic signal cell: rounds that saw a ``ctx.send`` delegate
     to the shared targeted fast path
@@ -375,63 +570,30 @@ def build_columnar_collect(
     """
     np = _np  # snapshot per run; tests monkeypatch the module global
     topo = sim.topology
-    model = sim.model
     n = topo.n
     labels = topo.labels
-    index = topo.index
-    cut = sim.cut
-    budget = model.bandwidth_bits
-    enforce = model.enforce
-    broadcast_only = model.broadcast_only
-    indptr, indices = topo.indptr, topo.indices
-
+    indptr = topo.indptr
     rows = topo.sorted_neighbor_rows()
-    degrees = list(topo.degrees)
-    # Degree-0 vertices are skipped by the gather loop *and* appear in no
-    # receiver's row, so the all-sent fast path triggers whenever every
-    # positive-degree vertex broadcast — not only when all ``n`` did.
-    n_connected = sum(1 for deg in degrees if deg)
 
-    cut_counts = None
-    if cut is not None:
-        cut_counts = _crossing_counts(topo, [labels[i] in cut for i in range(n)])
-    virtual_counts = None
-    if graph_sets is not None:
-        virtual_counts = _virtual_counts(topo, graph_sets)
-
+    ledger = BroadcastLedger(sim, metrics, graph_sets, np)
+    account = ledger.account
+    degrees = ledger.degrees
+    n_connected = ledger.n_connected
     size_table = PayloadSizeTable()
     int_sizes = size_table.int_sizes
     size_cap = size_table.cap
     measure = size_table.measure
-    tally = RoundTally()
-    MESSAGES, BITS, MAX_BITS = RoundTally.MESSAGES, RoundTally.BITS, RoundTally.MAX_BITS
-    CUT_MESSAGES, CUT_BITS = RoundTally.CUT_MESSAGES, RoundTally.CUT_BITS
-    VIOLATIONS, BROADCASTS = RoundTally.VIOLATIONS, RoundTally.BROADCASTS
-    VIRTUAL = RoundTally.VIRTUAL
 
-    # Persistent per-round columns: the sent-flag byte per node, the payload
-    # size slot per node and the payload object column (the Mapping
+    # Persistent per-round columns: the ledger's sent-flag byte and payload
+    # size slot per node, and the payload object column (the Mapping
     # facade's singleton lists materialise lazily from it, see
     # ``_RoundState.ensure_plists``).
-    state = _RoundState(n, labels, index)
-    sent = state.sent
+    sent = ledger.sent
+    bits_col = ledger.bits_col
+    state = _RoundState(n, labels, topo.index, sent)
     pays = state.pays
-    bits_col = array("q", [0]) * n
     zero_bytes = bytes(n)
     none_list: list[Any] = [None] * n
-
-    deg_np = cut_np = virt_np = None
-    sent_np = bits_np = obj_np = all_rows_np = None
-    if np is not None:
-        deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
-        bits_np = np.frombuffer(bits_col, dtype=np.int64)
-        # Zero-copy boolean view of the sent column; the bytearray is never
-        # resized, so the exported buffer stays valid for the whole run.
-        sent_np = np.frombuffer(sent, dtype=np.uint8).view(np.bool_)
-        if cut_counts is not None:
-            cut_np = np.frombuffer(cut_counts, dtype=np.int64)
-        if virtual_counts is not None:
-            virt_np = np.frombuffer(virtual_counts, dtype=np.int64)
 
     views: list[ColumnarInbox] | None = None
     if filt is None:
@@ -501,54 +663,6 @@ def build_columnar_collect(
     mask_rows: list[list[Any]] | None = None
     if filt is not None:
         mask_rows = [[labels[j] for j in row] for row in rows]
-
-    def accumulate_ordered(senders: list[int]) -> tuple:
-        """Sender-order accumulation; raises mid-walk on an enforced violation.
-
-        This is both the stdlib accounting kernel and the enforcement path:
-        it walks senders in ascending order, so when an enforcing model's
-        budget is exceeded the metrics are flushed through the first
-        violating sender and the raise names that sender's first link —
-        the same on the NumPy and stdlib paths and on the lowered path.
-        """
-        messages = 0
-        bits_total = 0
-        max_bits = tally.counts[MAX_BITS]
-        cut_messages = 0
-        cut_bits = 0
-        violations = 0
-        virtual = 0
-        for k in range(len(senders)):
-            src_i = senders[k]
-            bits = bits_col[src_i]
-            deg = degrees[src_i]
-            messages += deg
-            bits_total += deg * bits
-            if bits > max_bits:
-                max_bits = bits
-            if cut_counts is not None:
-                crossing = cut_counts[src_i]
-                if crossing:
-                    cut_messages += crossing
-                    cut_bits += crossing * bits
-            if virtual_counts is not None:
-                virtual += virtual_counts[src_i]
-            if budget is not None and bits > budget:
-                violations += deg
-                if enforce:
-                    flush_round_tally(
-                        metrics, messages, bits_total, max_bits, cut_messages,
-                        cut_bits, violations,
-                        (k + 1) if broadcast_only else 0, virtual,
-                    )
-                    src = labels[src_i]
-                    first = labels[indices[indptr[src_i]]]
-                    raise BandwidthExceededError(
-                        f"message(s) on link {src!r}->{first!r} use "
-                        f"{bits} bits, budget is {budget} "
-                        f"({model.name})"
-                    )
-        return messages, bits_total, max_bits, cut_messages, cut_bits, violations, virtual
 
     # The degree-0 guard in the gather loop exists only for graphs that
     # actually contain isolated vertices; compile it out otherwise.
@@ -629,38 +743,8 @@ def build_columnar_collect(
         state.senders = senders
         state.ints_only = ints_only
 
-        # ---- accounting kernels -> RoundTally, flushed once.
-        tally.reset(metrics.max_message_bits)
-        counts = tally.counts
-        if senders:
-            if np is not None:
-                mask = sent_np
-                if budget is not None:
-                    over = (bits_np > budget) & mask
-                    if over.any():
-                        if enforce:
-                            accumulate_ordered(senders)  # raises
-                        counts[VIOLATIONS] = int(deg_np.dot(over))
-                counts[MESSAGES] = int(deg_np.dot(mask))
-                weighted = bits_np * deg_np
-                counts[BITS] = int(weighted.dot(mask))
-                max_bits = int((bits_np * mask).max())
-                if max_bits > counts[MAX_BITS]:
-                    counts[MAX_BITS] = max_bits
-                if cut_np is not None:
-                    counts[CUT_MESSAGES] = int(cut_np.dot(mask))
-                    counts[CUT_BITS] = int((bits_np * cut_np).dot(mask))
-                if virt_np is not None:
-                    counts[VIRTUAL] = int(virt_np.dot(mask))
-            else:
-                (
-                    counts[MESSAGES], counts[BITS], counts[MAX_BITS],
-                    counts[CUT_MESSAGES], counts[CUT_BITS],
-                    counts[VIOLATIONS], counts[VIRTUAL],
-                ) = accumulate_ordered(senders)
-            if broadcast_only:
-                counts[BROADCASTS] = len(senders)
-        tally.flush(metrics)
+        # ---- accounting: the ledger's kernels -> RoundTally, flushed once.
+        account(len(senders), senders)
 
         # ---- delivery: persistent lazy views (fault-free) or masked dicts.
         if not senders:
@@ -725,4 +809,4 @@ def build_columnar_collect(
     return collect
 
 
-__all__ = ["ColumnarInbox", "build_columnar_collect", "have_numpy"]
+__all__ = ["BroadcastLedger", "ColumnarInbox", "build_columnar_collect", "have_numpy"]

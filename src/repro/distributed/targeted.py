@@ -97,11 +97,6 @@ else:
         _np = None
 
 
-def have_targeted_numpy() -> bool:
-    """Whether the targeted fast path will use its NumPy kernels on this run."""
-    return _np is not None
-
-
 #: Distinct-from-everything sentinel for the run-grouping loop (``None`` is
 #: a legal sender label in principle, so equality with it must not match).
 _NO_SRC: Any = object()
@@ -593,4 +588,4 @@ def build_targeted_collect(
     return collect
 
 
-__all__ = ["TargetedInbox", "build_targeted_collect", "have_targeted_numpy"]
+__all__ = ["TargetedInbox", "build_targeted_collect"]

@@ -36,12 +36,14 @@ columnar run (and hence to the reference oracle) — outputs,
 raises — under all four communication models and under drop/crash
 adversaries.  The load-bearing details:
 
-* accounting reuses the columnar engine's kernels verbatim: mask
-  dot-products over per-node degree/cut/overlay count columns, one
-  :class:`~repro.distributed.metrics.RoundTally` flush per collection pass
-  (including the round-0 pass and the final empty pass), absolute
-  ``max_message_bits`` store, and the sender-ordered enforcement walk with
-  the stepped engine's partially-flushed metrics and message text;
+* accounting reuses the columnar engine's kernels verbatim — the view
+  charges every collection pass through the same
+  :class:`~repro.distributed.columnar.BroadcastLedger` the stepped engine
+  uses: mask dot-products over per-node degree/cut/overlay count columns,
+  one :class:`~repro.distributed.metrics.RoundTally` flush per collection
+  pass (including the round-0 pass and the final empty pass), and the
+  sender-ordered enforcement walk with the stepped engine's
+  partially-flushed metrics and message text;
 * payload sizes come from closed forms (:func:`int_payload_bits`,
   :func:`repetition_frame_bits`) pinned by tests to equal
   :func:`~repro.distributed.encoding.estimate_bits` on every value the
@@ -65,9 +67,9 @@ from array import array
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.distributed.columnar import _crossing_counts, _virtual_counts
-from repro.distributed.errors import BandwidthExceededError, RoundLimitExceededError
-from repro.distributed.metrics import Metrics, RoundTally, flush_round_tally
+from repro.distributed.columnar import BroadcastLedger
+from repro.distributed.errors import RoundLimitExceededError
+from repro.distributed.metrics import Metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.adversary import DeliveryFilter
@@ -203,27 +205,26 @@ class EngineView:
     ``degrees``, ``labels``), the NumPy module snapshot (``np``, possibly
     ``None``), the liveness column (``alive`` plus ``alive_np``), the fold
     primitive :meth:`fold_max`, the broadcast queue
-    (:meth:`queue_broadcast_alive` over the ``best_bits`` column) and the
-    retirement seam :meth:`retire` (the only per-node Python in a lowered
-    run: each node is touched once when it halts).  Everything else —
-    accounting kernels, adversary masks, the round loop — is internal.
+    (:meth:`queue_broadcast_alive` over the ``bits_col`` / ``bits_np``
+    wire-size column) and the retirement seam :meth:`retire` (the only
+    per-node Python in a lowered run: each node is touched once when it
+    halts).  Everything else — adversary masks, the round loop — is
+    internal, and accounting is the ``ledger``'s
+    (:class:`~repro.distributed.columnar.BroadcastLedger`), whose send
+    columns the queue writes.
     """
 
     __slots__ = (
-        "sim",
         "contexts",
         "metrics",
-        "graph_sets",
         "filt",
         "np",
+        "ledger",
         "n",
         "labels",
-        "index",
         "rows",
         "indptr",
-        "indices",
         "degrees",
-        "n_connected",
         "alive",
         "alive_count",
         "sent",
@@ -232,11 +233,8 @@ class EngineView:
         "heard_col",
         "senders_list",
         "round",
-        "cut_counts",
-        "virtual_counts",
         "mask_rows",
         "mask_flat",
-        "tally",
         "_kernel",
         "_ninf_template",
         "_zero_bytes",
@@ -244,9 +242,6 @@ class EngineView:
         "alive_np",
         "sent_np",
         "bits_np",
-        "deg_np",
-        "cut_np",
-        "virt_np",
         "nonempty_np",
         "all_rows_np",
         "reduce_idx",
@@ -262,42 +257,31 @@ class EngineView:
         filt: "DeliveryFilter | None",
     ) -> None:
         np = _np  # snapshot per run; tests monkeypatch the module global
-        self.sim = sim
         self.contexts = contexts
         self.metrics = metrics
-        self.graph_sets = graph_sets
         self.filt = filt
         self.np = np
         topo = sim.topology
         n = topo.n
         self.n = n
         self.labels = topo.labels
-        self.index = topo.index
         self.rows = topo.sorted_neighbor_rows()
         self.indptr = topo.indptr
-        self.indices = topo.indices
-        self.degrees = list(topo.degrees)
-        self.n_connected = sum(1 for deg in self.degrees if deg)
+        # The ledger owns the send columns; the queue below writes them.
+        ledger = self.ledger = BroadcastLedger(sim, metrics, graph_sets, np)
+        self.degrees = ledger.degrees
+        self.sent = ledger.sent
+        self.bits_col = ledger.bits_col
+        self.sent_np = ledger.sent_np
+        self.bits_np = ledger.bits_np
         self.alive = bytearray(n)
         self.alive_count = 0
-        self.sent = bytearray(n)
         self.sent_count = 0
-        self.bits_col = array("q", [0]) * n
         self.heard_col = array("q", [0]) * n
         self.senders_list: list[int] | None = None
         self.round = 0
-        cut = sim.cut
-        self.cut_counts = (
-            _crossing_counts(topo, [self.labels[i] in cut for i in range(n)])
-            if cut is not None
-            else None
-        )
-        self.virtual_counts = (
-            _virtual_counts(topo, graph_sets) if graph_sets is not None else None
-        )
         self.mask_rows: list[list[Any]] | None = None
         self.mask_flat: bytearray | None = None
-        self.tally = RoundTally()
         self._kernel: VectorKernel | None = None
         self._ninf_template = array("q", [INT64_MIN]) * n
         self._zero_bytes = bytes(n)
@@ -306,19 +290,11 @@ class EngineView:
             self.mask_rows = [[self.labels[j] for j in row] for row in self.rows]
             self.mask_flat = bytearray(self.indptr[n])
 
-        self.alive_np = self.sent_np = self.bits_np = self.deg_np = None
-        self.cut_np = self.virt_np = self.nonempty_np = None
+        self.alive_np = self.nonempty_np = None
         self.all_rows_np = self.reduce_idx = self.t_idx = None
         if np is not None:
-            self.deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
-            self.bits_np = np.frombuffer(self.bits_col, dtype=np.int64)
             self.alive_np = np.frombuffer(self.alive, dtype=np.uint8).view(np.bool_)
-            self.sent_np = np.frombuffer(self.sent, dtype=np.uint8).view(np.bool_)
-            self.nonempty_np = self.deg_np > 0
-            if self.cut_counts is not None:
-                self.cut_np = np.frombuffer(self.cut_counts, dtype=np.int64)
-            if self.virtual_counts is not None:
-                self.virt_np = np.frombuffer(self.virtual_counts, dtype=np.int64)
+            self.nonempty_np = ledger.deg_np > 0
             m2 = self.indptr[n]
             self.all_rows_np = np.fromiter(
                 chain.from_iterable(self.rows), dtype=np.int64, count=m2
@@ -377,7 +353,7 @@ class EngineView:
                     np.frombuffer(self.mask_flat, dtype=np.uint8)
                     .view(np.bool_)[self.t_idx]
                 )
-            elif self.sent_count != self.n_connected:
+            elif self.sent_count != self.ledger.n_connected:
                 dmask = self.sent_np[self.all_rows_np]
             vals = gathered if dmask is None else np.where(dmask, gathered, INT64_MIN)
             heard = np.maximum.reduceat(vals, self.reduce_idx)
@@ -470,115 +446,18 @@ class EngineView:
             senders = self.senders_list = [i for i in range(self.n) if sent[i]]
         return senders
 
-    def _accumulate_ordered(self, senders: list[int]) -> tuple:
-        """Sender-order accounting walk; raises on an enforced violation.
-
-        A verbatim twin of the stepped columnar engine's ordered kernel, so
-        enforcement raises carry bit-for-bit the same partially-flushed
-        metrics and message text.
-        """
-        sim = self.sim
-        model = sim.model
-        budget = model.bandwidth_bits
-        enforce = model.enforce
-        broadcast_only = model.broadcast_only
-        metrics = self.metrics
-        tally = self.tally
-        bits_col = self.bits_col
-        degrees = self.degrees
-        cut_counts = self.cut_counts
-        virtual_counts = self.virtual_counts
-        labels = self.labels
-        indptr, indices = self.indptr, self.indices
-        messages = 0
-        bits_total = 0
-        max_bits = tally.counts[RoundTally.MAX_BITS]
-        cut_messages = 0
-        cut_bits = 0
-        violations = 0
-        virtual = 0
-        for k in range(len(senders)):
-            src_i = senders[k]
-            bits = bits_col[src_i]
-            deg = degrees[src_i]
-            messages += deg
-            bits_total += deg * bits
-            if bits > max_bits:
-                max_bits = bits
-            if cut_counts is not None:
-                crossing = cut_counts[src_i]
-                if crossing:
-                    cut_messages += crossing
-                    cut_bits += crossing * bits
-            if virtual_counts is not None:
-                virtual += virtual_counts[src_i]
-            if budget is not None and bits > budget:
-                violations += deg
-                if enforce:
-                    flush_round_tally(
-                        metrics, messages, bits_total, max_bits, cut_messages,
-                        cut_bits, violations,
-                        (k + 1) if broadcast_only else 0, virtual,
-                    )
-                    src = labels[src_i]
-                    first = labels[indices[indptr[src_i]]]
-                    raise BandwidthExceededError(
-                        f"message(s) on link {src!r}->{first!r} use "
-                        f"{bits} bits, budget is {budget} "
-                        f"({model.name})"
-                    )
-        return messages, bits_total, max_bits, cut_messages, cut_bits, violations, virtual
-
     def _collect(self) -> None:
         """One delivery pass: accounting flush plus adversary mask capture.
 
-        The lowered twin of the columnar engine's ``collect``: same
-        accounting kernels over the same columns, same unconditional
-        per-pass tally flush, same per-sender ``deliver_mask`` seam (in
-        ascending sender order, sorted label rows) — only inbox
-        materialisation is replaced by the flat delivery mask
-        :meth:`fold_max` consumes next round.
+        The lowered twin of the columnar engine's ``collect``: the same
+        :class:`~repro.distributed.columnar.BroadcastLedger` charges the
+        pass (flushed unconditionally), and the same per-sender
+        ``deliver_mask`` seam runs (in ascending sender order, sorted label
+        rows) — only inbox materialisation is replaced by the flat delivery
+        mask :meth:`fold_max` consumes next round.
         """
-        np = self.np
-        metrics = self.metrics
-        tally = self.tally
-        model = self.sim.model
-        budget = model.bandwidth_bits
-        tally.reset(metrics.max_message_bits)
-        counts = tally.counts
         scount = self.sent_count
-        if scount:
-            if np is not None:
-                mask = self.sent_np
-                bits_np = self.bits_np
-                deg_np = self.deg_np
-                if budget is not None:
-                    over = (bits_np > budget) & mask
-                    if over.any():
-                        if model.enforce:
-                            self._accumulate_ordered(self._senders())  # raises
-                        counts[RoundTally.VIOLATIONS] = int(deg_np.dot(over))
-                counts[RoundTally.MESSAGES] = int(deg_np.dot(mask))
-                weighted = bits_np * deg_np
-                counts[RoundTally.BITS] = int(weighted.dot(mask))
-                max_bits = int((bits_np * mask).max())
-                if max_bits > counts[RoundTally.MAX_BITS]:
-                    counts[RoundTally.MAX_BITS] = max_bits
-                if self.cut_np is not None:
-                    counts[RoundTally.CUT_MESSAGES] = int(self.cut_np.dot(mask))
-                    counts[RoundTally.CUT_BITS] = int((bits_np * self.cut_np).dot(mask))
-                if self.virt_np is not None:
-                    counts[RoundTally.VIRTUAL] = int(self.virt_np.dot(mask))
-            else:
-                (
-                    counts[RoundTally.MESSAGES], counts[RoundTally.BITS],
-                    counts[RoundTally.MAX_BITS], counts[RoundTally.CUT_MESSAGES],
-                    counts[RoundTally.CUT_BITS], counts[RoundTally.VIOLATIONS],
-                    counts[RoundTally.VIRTUAL],
-                ) = self._accumulate_ordered(self._senders())
-            if model.broadcast_only:
-                counts[RoundTally.BROADCASTS] = scount
-        tally.flush(metrics)
+        self.ledger.account(scount, self.senders_list)
 
         filt = self.filt
         if filt is not None:

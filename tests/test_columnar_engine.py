@@ -444,13 +444,15 @@ class TestPayloadSizeTable:
 class TestNumpyAbsentFallback:
     """The stdlib-``array`` kernels are exercised and bit-for-bit identical."""
 
-    def test_flood_max_identical_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(columnar_module, "_np", None)
+    @pytest.mark.parametrize("vectorize", [True, False], ids=["lowered", "stepped"])
+    def test_flood_max_identical_without_numpy(self, vectorize, monkeypatch):
+        for module in (columnar_module, targeted_module, vectorize_module):
+            monkeypatch.setattr(module, "_np", None)
         assert not have_numpy()
         g = gnp_random_graph(35, 0.2, seed=12)
         fallback = _run(
             g, lambda v: FloodMaxProgram(v, 5), broadcast_congest_model(35),
-            "columnar", seed=2,
+            "columnar", seed=2, vectorize=vectorize,
         )
         reference = _run(
             g, lambda v: FloodMaxProgram(v, 5), broadcast_congest_model(35),
@@ -497,16 +499,25 @@ class TestNumpyAbsentFallback:
             )
             _assert_identical(fallback, reference)
 
-    def test_cut_and_violations_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(columnar_module, "_np", None)
+    @pytest.mark.parametrize("vectorize", [True, False], ids=["lowered", "stepped"])
+    def test_cut_and_violations_without_numpy(self, vectorize, monkeypatch):
+        for module in (columnar_module, targeted_module, vectorize_module):
+            monkeypatch.setattr(module, "_np", None)
         g = gnp_random_graph(30, 0.25, seed=4)
+        # logn_factor=1: a 5-bit budget that most labels overflow.
         runs = {
             engine: _run(
-                g, lambda v: FloodMaxProgram(v, 4), congest_model(30, enforce=False),
-                engine, cut=set(range(15)),
+                g,
+                lambda v: FloodMaxProgram(v, 4),
+                congest_model(30, enforce=False, logn_factor=1),
+                engine,
+                cut=set(range(15)),
+                vectorize=vectorize,
             )
             for engine in ENGINES
         }
+        assert runs["columnar"].metrics.bandwidth_violations > 0
+        assert runs["columnar"].metrics.cut_messages > 0
         _assert_identical(runs["columnar"], runs["reference"])
 
 

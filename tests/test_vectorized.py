@@ -23,6 +23,7 @@ from repro.core.flood_max import (
     run_flood_max,
 )
 from repro.distributed import (
+    BandwidthExceededError,
     Simulator,
     broadcast_congest_model,
     congest_model,
@@ -30,6 +31,7 @@ from repro.distributed import (
     local_model,
 )
 from repro.distributed import columnar as columnar_module
+from repro.distributed import targeted as targeted_module
 from repro.distributed import vectorize as vectorize_module
 from repro.distributed.adversary import build_adversary
 from repro.distributed.encoding import estimate_bits
@@ -144,6 +146,52 @@ class TestLoweredDifferential:
         )
         assert lowered_sim.lowered
         _assert_identical(lowered, stepped)
+
+    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "stdlib"])
+    @pytest.mark.parametrize("enforce", [False, True], ids=["count", "raise"])
+    def test_bandwidth_violations_and_enforcement(self, enforce, numpy, monkeypatch):
+        # logn_factor=1 gives a 5-bit budget at n=30, which most labels
+        # overflow: the lowered run must count the violations (and the
+        # cut traffic) exactly like the stepped and reference runs, and
+        # under enforcement raise with the same message.
+        if not numpy:
+            for module in (columnar_module, targeted_module, vectorize_module):
+                monkeypatch.setattr(module, "_np", None)
+        g = gnp_random_graph(30, 0.2, seed=6)
+        arms = {
+            "lowered": ("columnar", True),
+            "stepped": ("columnar", False),
+            "reference": ("reference", True),
+        }
+        results, errors = {}, {}
+        for arm, (engine, vectorize) in arms.items():
+            model = congest_model(30, enforce=enforce, logn_factor=1)
+            assert model.bandwidth_bits == 5
+            sim = Simulator(
+                g,
+                lambda v: FloodMaxProgram(v, 6),
+                model=model,
+                seed=4,
+                cut=set(range(15)),
+                engine=engine,
+                vectorize=vectorize,
+            )
+            if enforce:
+                with pytest.raises(BandwidthExceededError) as info:
+                    sim.run()
+                errors[arm] = str(info.value)
+            else:
+                results[arm] = sim.run()
+            assert sim.lowered == (arm == "lowered")
+        if enforce:
+            assert "budget is 5" in errors["lowered"]
+            assert errors["stepped"] == errors["lowered"]
+            assert errors["reference"] == errors["lowered"]
+            return
+        assert results["lowered"].metrics.bandwidth_violations > 0
+        assert results["lowered"].metrics.cut_messages > 0
+        _assert_identical(results["lowered"], results["stepped"])
+        _assert_identical(results["lowered"], results["reference"])
 
     def test_negative_labels_take_the_non_monotone_path(self):
         # Negative labels break wire-size monotonicity (bit_length(-5) >
